@@ -151,6 +151,54 @@ def test_large_scale_epoch_step(benchmark, engine):
     assert result.query_count >= 0
 
 
+# Bootstrap case: 100 datacenters (one server each), 2 x 10^4 partitions
+# starting from one copy each, so the first epoch runs the Fig. 2
+# availability branch for every partition.  A fresh world per round:
+# bootstrap is a one-shot state, not a loop that can be re-stepped.
+_BOOT_PARTITIONS = 20_000
+_BOOT_ROUNDS = 3
+
+
+def _bootstrap_config() -> SimulationConfig:
+    return SimulationConfig(
+        seed=7,
+        cluster=ClusterParameters(
+            rooms_per_datacenter=1, racks_per_room=1, servers_per_rack=1
+        ),
+        workload=WorkloadParameters(
+            queries_per_epoch_mean=10_000.0,
+            num_partitions=_BOOT_PARTITIONS,
+            zipf_exponent=2.0,
+        ),
+    )
+
+
+def test_large_scale_bootstrap_epoch(benchmark):
+    """The first (bootstrap) epoch of a fresh 100-DC / 2x10^4-partition
+    columnar world, traced workload; world construction is untimed.
+    Complements ``test_large_scale_epoch_step``, which times steady
+    epochs only."""
+    hierarchy = build_synthetic_hierarchy(_LARGE_DCS)
+    wan = build_ring_wan(hierarchy)
+    config = _bootstrap_config()
+    probe = Simulation(config, policy="rfh", hierarchy=hierarchy, wan=wan)
+    trace = WorkloadTrace.record(probe.workload, 1)
+
+    def fresh_world():
+        sim = ColumnarSimulation(
+            config, policy="rfh", hierarchy=hierarchy, wan=wan, workload=trace
+        )
+        return (sim,), {}
+
+    def first_epoch(sim):
+        return sim.step()
+
+    result = benchmark.pedantic(
+        first_epoch, setup=fresh_world, rounds=_BOOT_ROUNDS, iterations=1
+    )
+    assert result.query_count > 0
+
+
 def test_full_epoch_step_timeseries(benchmark):
     """One engine epoch with the time-series recorder attached at
     stride 1 — the recorder's per-epoch cost must stay within noise of

@@ -13,13 +13,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import RFHParameters
-from ..sim.actions import Action
+from ..sim.actions import Action, Replicate
 from ..sim.observation import EpochObservation
+from ..sim.reasons import AVAILABILITY
 from .decision import (
     SUICIDE_HEADROOM,
     SUICIDE_IDLE_BAR,
     RFHDecision,
 )
+from .placement import choose_lowest_blocking
 from .smoothing import Ewma
 from .thresholds import UNSERVED_TOLERANCE
 from .traffic import _null_span
@@ -29,6 +31,11 @@ if TYPE_CHECKING:
     from ..sim.columnar.state import SimState
 
 __all__ = ["RFHPolicy", "ReplicaAges"]
+
+#: Below-floor partitions per block of the bulk availability placement;
+#: bounds its (block × D) temporaries.  A memory knob only — blocks are
+#: independent, so the result does not depend on it.
+_BULK_BLOCK = 2048
 
 
 class ReplicaAges:
@@ -86,11 +93,14 @@ class RFHPolicy:
         self._work: WorkCounters | None = None
         # Columnar decision prefilter (opt-in via attach_columnar_state):
         # with a dense replica mirror available, partitions that provably
-        # take no branch of the Fig. 2 tree are skipped in bulk.  Scalar
-        # runs never attach one, so the reference loop stays untouched.
+        # take no branch of the Fig. 2 tree are skipped in bulk, and those
+        # that provably take the availability Replicate are settled in
+        # bulk.  Scalar runs never attach one, so the reference loop
+        # stays untouched.
         self._columnar_state: SimState | None = None
         self._provenance_attached = False
         self._arange_servers = np.zeros(0, dtype=np.int64)
+        self._server_dc = np.zeros(0, dtype=np.int64)
 
     @property
     def params(self) -> RFHParameters:
@@ -131,11 +141,15 @@ class RFHPolicy:
             served = self._update_served(obs.served_server)
         actions: list[Action] = []
         with self._span("decision-eval"):
-            partitions = self._decision_partitions(
-                obs, avg_query, holder_traffic, unserved, served
+            partitions, settled = self._decision_partitions(
+                obs, avg_query, traffic, holder_traffic, unserved, served
             )
             age = self._replica_ages(obs.epoch)
             for partition in partitions:
+                action = settled.get(partition)
+                if action is not None:
+                    actions.append(action)
+                    continue
                 actions.extend(
                     self._decision.decide_partition(
                         partition,
@@ -155,23 +169,27 @@ class RFHPolicy:
         self,
         obs: EpochObservation,
         avg_query: np.ndarray,
+        traffic: np.ndarray,
         holder_traffic: np.ndarray,
         unserved: np.ndarray,
         served: np.ndarray,
-    ) -> "range | list[int]":
-        """Partitions the decision tree must visit this epoch, in order.
+    ) -> "tuple[range | list[int], dict[int, Action]]":
+        """Partitions the decision tree must visit this epoch, in order,
+        and the actions of those already settled in bulk.
 
         Without a columnar mirror (or with provenance attached) this is
-        every partition — the scalar reference behaviour.  With one, a
-        conservative vectorized evaluation of the Fig. 2 predicates
-        skips partitions that provably return no action: availability
-        floor met, holder neither blocked nor past Eq. 12 on both the
-        smoothed and raw signal, and no replica that could clear the
-        suicide gates.  Every comparison below is the same IEEE-754
-        operation the scalar tree performs on the same float64 values,
-        so a skipped partition is exactly one whose evaluation would be
-        a no-op; skipped evaluations are re-credited to the
-        ``decisions_evaluated`` work counter in bulk.
+        every partition and nothing settled — the scalar reference
+        behaviour.  With one, a conservative vectorized evaluation of
+        the Fig. 2 predicates skips partitions that provably return no
+        action: availability floor met, holder neither blocked nor past
+        Eq. 12 on both the smoothed and raw signal, and no replica that
+        could clear the suicide gates.  Every comparison below is the
+        same IEEE-754 operation the scalar tree performs on the same
+        float64 values, so a skipped partition is exactly one whose
+        evaluation would be a no-op.  Below-floor partitions whose
+        availability ``Replicate`` is provable are settled by
+        :meth:`_bulk_availability`.  Skipped and settled evaluations are
+        re-credited to the ``decisions_evaluated`` work counter in bulk.
         """
         state = self._columnar_state
         num_servers = served.shape[1]
@@ -180,7 +198,7 @@ class RFHPolicy:
             or self._provenance_attached
             or state.num_servers != num_servers
         ):
-            return range(obs.num_partitions)
+            return range(obs.num_partitions), {}
         params = self._params
         tol = np.maximum(UNSERVED_TOLERANCE, 0.5 * avg_query)
         blocked = unserved > tol
@@ -222,15 +240,80 @@ class RFHPolicy:
             ).any(axis=1)
             may_shrink = np.zeros(counts.shape[0], dtype=bool)
             may_shrink[rows] = candidate_rows
-        skip = (
-            (state.holder >= 0)
-            & (counts >= obs.rmin)
-            & ~overload
-            & ~may_shrink
-        )
+        held = state.holder >= 0
+        floor_met = counts >= obs.rmin
+        skip = held & floor_met & ~overload & ~may_shrink
+        below = np.nonzero(held & ~floor_met)[0]
+        settled = self._bulk_availability(obs, traffic, below) if below.shape[0] else {}
         if self._work is not None:
-            self._work.decisions_evaluated += int(np.count_nonzero(skip))
-        return np.nonzero(~skip)[0].tolist()
+            self._work.decisions_evaluated += int(np.count_nonzero(skip)) + len(settled)
+        return np.nonzero(~skip)[0].tolist(), settled
+
+    def _bulk_availability(
+        self, obs: EpochObservation, traffic: np.ndarray, below: np.ndarray
+    ) -> dict[int, Action]:
+        """Fig. 2's availability branch for held, below-floor partitions.
+
+        For such a partition the tree sorts datacenters by (has a copy,
+        traffic descending, index) and replicates from the holder to the
+        lowest-blocking eligible server of the first one that has any.
+        When some *fresh* datacenter (no copy) has an eligible server,
+        that first one is the first-index argmax of the Eq. 11 traffic
+        row over those fresh datacenters — and no server of a fresh
+        datacenter holds a copy, so its pick needs no exclusion set and
+        is one :func:`choose_lowest_blocking` call per datacenter per
+        epoch.  Deciding never mutates state, so the picks hold for
+        every partition.  Partitions with no fresh eligible datacenter
+        are left out (the tree visits them); the suicide branch is
+        unreachable here because ``count - 1 < r_min``.
+        """
+        state = self._columnar_state
+        assert state is not None
+        cluster = obs.cluster
+        picks = [
+            choose_lowest_blocking(
+                cluster,
+                dc,
+                obs.blocking_probability,
+                obs.partition_size_mb,
+                self._params.phi,
+            )
+            for dc in range(obs.num_datacenters)
+        ]
+        pick = np.array([-1 if sid is None else sid for sid in picks], dtype=np.int64)
+        closed = pick < 0
+        if bool(closed.all()):
+            return {}
+        if self._server_dc.shape[0] != cluster.num_servers:
+            self._server_dc = np.array([s.dc for s in cluster.servers], dtype=np.int64)
+        # The below-floor partitions' copies as (row in ``below``, dc)
+        # pairs.  Cells are row-major and ``below`` ascends, so
+        # ``copy_row`` ascends and each block's copies are one run.
+        rows, cols, _ = state.cells()
+        slot = np.full(state.num_partitions, -1, dtype=np.int64)
+        slot[below] = np.arange(below.shape[0])
+        local = slot[rows]
+        mine = local >= 0
+        copy_row = local[mine]
+        copy_dc = self._server_dc[cols[mine]]
+        settled: dict[int, Action] = {}
+        for start in range(0, below.shape[0], _BULK_BLOCK):
+            block = below[start : start + _BULK_BLOCK]
+            lo, hi = np.searchsorted(copy_row, (start, start + block.shape[0]))
+            rank = traffic[block]
+            rank[:, closed] = -np.inf
+            rank[copy_row[lo:hi] - start, copy_dc[lo:hi]] = -np.inf
+            best = rank.argmax(axis=1)
+            ok = rank[np.arange(block.shape[0]), best] > -np.inf
+            for partition, source, target in zip(
+                block[ok].tolist(),
+                state.holder[block[ok]].tolist(),
+                pick[best[ok]].tolist(),
+            ):
+                settled[partition] = Replicate(
+                    partition, source, target, reason=AVAILABILITY
+                )
+        return settled
 
     def _replica_ages(self, epoch: int) -> ReplicaAges:
         """Age view of policy-placed replicas, resolved on lookup."""

@@ -25,8 +25,12 @@ algorithms on identical workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LatencyModel", "LatencySummary"]
 
@@ -73,6 +77,21 @@ class LatencyModel:
     def response_ms(self, distance_km: float, hops: float) -> float:
         """Round-trip response time for one query."""
         if distance_km < 0 or hops < 0:
+            raise ConfigurationError("distance and hops must be >= 0")
+        return (
+            2.0 * distance_km / FIBRE_KM_PER_MS
+            + hops * self.hop_overhead_ms
+            + self.service_ms
+        )
+
+    def response_ms_array(self, distance_km: np.ndarray, hops: np.ndarray) -> np.ndarray:
+        """:meth:`response_ms` lane by lane over broadcast arrays.
+
+        Each lane performs the identical IEEE-754 operations in the
+        identical order as the scalar method, so results agree bit for
+        bit (integer ``hops`` convert to float64 exactly, as in Python).
+        """
+        if bool((distance_km < 0).any()) or bool((hops < 0).any()):
             raise ConfigurationError("distance and hops must be >= 0")
         return (
             2.0 * distance_km / FIBRE_KM_PER_MS

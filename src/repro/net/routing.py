@@ -37,6 +37,9 @@ class Router:
         self._dist = np.full((n, n), np.inf, dtype=np.float64)
         # _next_hop[s, d] = first hop on the path s -> d (or -1 on s == d).
         self._next_hop = np.full((n, n), -1, dtype=np.int64)
+        # _prev[s, d] = node before d on the path s -> d (the Dijkstra
+        # predecessor tree rooted at s; -1 at the root or if unreachable).
+        self._prev = np.full((n, n), -1, dtype=np.int64)
         self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
         for source in range(n):
             self._run_dijkstra(source)
@@ -71,6 +74,7 @@ class Router:
                     dist[v] = cand
                     prev[v] = u
         self._dist[source, :] = dist
+        self._prev[source, :] = prev
         for dest in range(n):
             if dest == source or not np.isfinite(dist[dest]):
                 continue
@@ -160,3 +164,10 @@ class Router:
     def distance_matrix_km(self) -> np.ndarray:
         """Copy of the all-pairs shortest distance matrix."""
         return self._dist.copy()
+
+    def predecessor_matrix(self) -> np.ndarray:
+        """Copy of the route predecessors: ``[s, d]`` is the node before
+        ``d`` on :meth:`path` ``(s, d)`` (``-1`` when ``s == d`` or the
+        pair is unreachable).  Following it back from ``d`` to ``s``
+        yields exactly the reversed :meth:`path`."""
+        return self._prev.copy()

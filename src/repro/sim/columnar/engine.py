@@ -73,15 +73,14 @@ class ColumnarSimulation(Simulation):
         self._total_cache = 0
         self._alive_epoch = -1
         self._alive_cache = np.zeros(0, dtype=bool)
-        # Replica-mask index cache for the metric kernels: row/column
-        # coordinates of every (partition, server) cell holding replicas,
-        # in row-major order (the order boolean masking enumerates).
+        # Replica-mask cache for the metric kernels: the state's shared
+        # row-major cell index (the order boolean masking enumerates)
+        # plus the per-cell capacity and float count gathers.
         self._mask_version = -1
         self._mask_shape = (0, 0)
         self._mask_rows = np.zeros(0, dtype=np.int64)
         self._mask_cols = np.zeros(0, dtype=np.int64)
         self._mask_cap = np.zeros(0, dtype=np.float64)
-        self._mask_cnt_int = np.zeros(0, dtype=np.int64)
         self._mask_cnt_f = np.zeros(0, dtype=np.float64)
         self._mask_cap_ok = True
         # Reused all-zero scratch for the utilization fill matrix; after
@@ -135,11 +134,12 @@ class ColumnarSimulation(Simulation):
             if bool((state.holder < 0).any()):  # pragma: no cover - restores
                 return super()._serve_epoch(batch)  # precede serve in step()
             self._csr = build_slot_csr(
-                state.R,
+                state.cells(),
                 state.holder,
                 self._dc_of_array,
                 self._capacity_cache,
                 self._tables.num_dcs,
+                state.num_partitions,
                 self.cluster.num_servers,
             )
             self._holder_dc_cache = self._dc_of_array[state.holder]
@@ -184,8 +184,10 @@ class ColumnarSimulation(Simulation):
         return int(np.count_nonzero(self._alive_mask_array()))
 
     def _total_replicas(self) -> int:
+        # The maintained per-partition counts are exact integer row sums
+        # of ``R``, so their total is ``R.sum()`` at O(P) instead of O(P·S).
         if self._state.version != self._total_version:
-            self._total_cache = int(self._state.R.sum())
+            self._total_cache = int(self._state.replica_counts().sum())
             self._total_version = self._state.version
         return self._total_cache
 
@@ -194,12 +196,11 @@ class ColumnarSimulation(Simulation):
         state = self._state
         if state.version == self._mask_version and state.R.shape == self._mask_shape:
             return
-        rows, cols = np.nonzero(state.R > 0)
+        rows, cols, counts = state.cells()
         self._mask_rows = rows
         self._mask_cols = cols
         self._mask_cap = self._server_capacity_array()[cols]
-        self._mask_cnt_int = state.R[rows, cols]
-        self._mask_cnt_f = self._mask_cnt_int.astype(np.float64)
+        self._mask_cnt_f = counts.astype(np.float64)
         self._mask_cap_ok = not bool((self._mask_cap <= 0).any())
         self._mask_version = state.version
         self._mask_shape = state.R.shape

@@ -25,8 +25,10 @@ the IEEE-754 level:
   same final ``np.sum`` over the same flow order.
 
 Padding never perturbs state: a dedicated sentinel slot with zero
-capacity (and a sentinel server column on the served buffer) absorbs
-all padded lanes, whose writes are exact no-ops by construction.
+capacity (and a sentinel cell trailing the flat served buffer) absorbs
+all padded lanes, whose writes are exact no-ops by construction.  The
+served matrix itself is the contiguous ``(P, S)`` head of that buffer,
+so its reductions run in the scalar engine's pairwise order.
 """
 
 from __future__ import annotations
@@ -73,14 +75,16 @@ class SlotCSR:
 
     Slots are sorted by ``(partition, datacenter, holder-last, sid)`` —
     the scalar walk's deterministic drain order — and addressed through
-    ``searchsorted`` on the composite key ``partition * D + dc``.  One
-    extra sentinel entry (capacity 0, server id ``S``) terminates the
-    arrays so padded drain lanes have a harmless landing slot.
+    ``searchsorted`` on the composite key ``partition * D + dc``.  Each
+    slot also carries its flat served-buffer cell ``partition * S +
+    sid``; one extra sentinel entry (capacity 0, cell ``P * S``)
+    terminates the arrays so padded drain lanes have a harmless landing
+    slot.
     """
 
     __slots__ = (
         "key",
-        "sid_ext",
+        "cell_ext",
         "cap",
         "n_slots",
         "cap_ext",
@@ -88,19 +92,19 @@ class SlotCSR:
         "run_dense",
         "lo_list",
         "run_list",
-        "sid_list",
+        "cell_list",
         "key_list",
     )
 
     def __init__(
         self,
         key: np.ndarray,
-        sid_ext: np.ndarray,
+        cell_ext: np.ndarray,
         cap: np.ndarray,
         num_keys: int,
     ) -> None:
         self.key = key
-        self.sid_ext = sid_ext
+        self.cell_ext = cell_ext
         self.cap = cap
         self.n_slots = int(key.shape[0])
         # Per-epoch remaining-capacity template: the sentinel slot rides
@@ -122,7 +126,7 @@ class SlotCSR:
         # Python-list mirrors for the tail walk, built on first use.
         self.lo_list: list[int] | None = None
         self.run_list: list[int] | None = None
-        self.sid_list: list[int] | None = None
+        self.cell_list: list[int] | None = None
         self.key_list: list[int] | None = None
 
     def runs(self, group_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,45 +143,48 @@ class SlotCSR:
 
 
 def build_slot_csr(
-    replica_matrix: np.ndarray,
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
     holder: np.ndarray,
     dc_of: np.ndarray,
     capacities: np.ndarray,
     num_dcs: int,
+    num_partitions: int,
     num_servers: int,
 ) -> SlotCSR:
     """Compile the replica layout into drain-ordered capacity slots.
 
-    ``replica_matrix[p, sid] > 0`` implies the server is alive (copies
-    are dropped with their server and never placed on dead ones), so no
-    liveness mask is needed.  Capacity per slot is ``count *
-    replica_capacity`` — the very multiply the scalar layout builder
+    ``cells`` is the layout's nonzero ``(partition, sid, count)`` index
+    (:meth:`SimState.cells`).  A copy implies the server is alive
+    (copies are dropped with their server and never placed on dead
+    ones), so no liveness mask is needed.  Capacity per slot is ``count
+    * replica_capacity`` — the very multiply the scalar layout builder
     performs.
     """
-    pp, ss = np.nonzero(replica_matrix)
-    vals = replica_matrix[pp, ss]
+    pp, ss, vals = cells
     slot_dc = dc_of[ss]
     is_holder = ss == holder[pp]
     # Primary sort partition, then datacenter, holder server last within
     # its datacenter, then ascending sid: the scalar drain order.
     order = np.lexsort((ss, is_holder, slot_dc, pp))
     ss = ss[order]
+    pp = pp[order]
     cap = vals[order].astype(np.float64) * capacities[ss]
-    key = pp[order] * num_dcs + slot_dc[order]
-    sid_ext = np.concatenate([ss, np.array([num_servers], dtype=np.int64)])
-    return SlotCSR(key, sid_ext, cap, int(replica_matrix.shape[0]) * num_dcs)
+    key = pp * num_dcs + slot_dc[order]
+    sentinel_cell = num_partitions * num_servers
+    cell_ext = np.concatenate(
+        [pp * num_servers + ss, np.array([sentinel_cell], dtype=np.int64)]
+    )
+    return SlotCSR(key, cell_ext, cap, num_partitions * num_dcs)
 
 
 def _drain_batch(
     amounts: np.ndarray,
     lo: np.ndarray,
     run: np.ndarray,
-    flow_partition: np.ndarray,
     slot_rem: np.ndarray,
-    sid_ext: np.ndarray,
+    cell_ext: np.ndarray,
     served_flat: np.ndarray,
     sentinel: int,
-    served_width: int,
 ) -> np.ndarray:
     """Drain a batch of memory-disjoint flows; returns post-drain amounts.
 
@@ -196,10 +203,9 @@ def _drain_batch(
     )
     take = np.minimum(caps, np.maximum(seq[:, :-1], 0.0))
     slot_rem[sidx] = caps - take
-    # Real (partition, sid) pairs are unique within the batch; sentinel
+    # Real (partition, sid) cells are unique within the batch; sentinel
     # lanes add exact zeros, so buffered fancy indexing is safe.
-    srv = flow_partition[:, None] * served_width + sid_ext[sidx]
-    served_flat[srv] += take
+    served_flat[cell_ext[sidx]] += take
     return np.maximum(seq[:, -1], 0.0)
 
 
@@ -209,12 +215,10 @@ def _drain_level(
     lo: np.ndarray,
     run: np.ndarray,
     has_slots: np.ndarray,
-    flow_partition: np.ndarray,
     slot_rem: np.ndarray,
-    sid_ext: np.ndarray,
+    cell_ext: np.ndarray,
     served_flat: np.ndarray,
     sentinel: int,
-    served_width: int,
     unique_keys: bool = False,
 ) -> np.ndarray:
     """Drain every flow of one path level; returns the new amount vector.
@@ -234,19 +238,16 @@ def _drain_level(
         a_list = out[idx].tolist()
         lo_list = lo[idx].tolist()
         run_list = run[idx].tolist()
-        row_list = (flow_partition[idx] * served_width).tolist()
-        sids = sid_ext
         for i in range(n):
             a = a_list[i]
             base = lo_list[i]
-            row = row_list[i]
             for s in range(base, base + run_list[i]):
                 cap = slot_rem[s]
                 if cap <= 0.0:
                     continue
                 take = cap if cap < a else a
                 slot_rem[s] = cap - take
-                served_flat[row + sids[s]] += take
+                served_flat[cell_ext[s]] += take
                 a -= take
                 if a <= 0.0:
                     break
@@ -256,10 +257,9 @@ def _drain_level(
     am = amounts[has_slots]
     lom = lo[has_slots]
     runm = run[has_slots]
-    fpm = flow_partition[has_slots]
     if unique_keys:
         out[has_slots] = _drain_batch(
-            am, lom, runm, fpm, slot_rem, sid_ext, served_flat, sentinel, served_width
+            am, lom, runm, slot_rem, cell_ext, served_flat, sentinel
         )
         return out
     gkm = group_key[has_slots]
@@ -277,19 +277,11 @@ def _drain_level(
         for r in range(int(rank.max()) + 1):
             sel = order[rank == r]
             result[sel] = _drain_batch(
-                am[sel],
-                lom[sel],
-                runm[sel],
-                fpm[sel],
-                slot_rem,
-                sid_ext,
-                served_flat,
-                sentinel,
-                served_width,
+                am[sel], lom[sel], runm[sel], slot_rem, cell_ext, served_flat, sentinel
             )
     else:
         result = _drain_batch(
-            am, lom, runm, fpm, slot_rem, sid_ext, served_flat, sentinel, served_width
+            am, lom, runm, slot_rem, cell_ext, served_flat, sentinel
         )
     out[has_slots] = result
     return out
@@ -306,7 +298,6 @@ def _walk_tail_python(
     csr: SlotCSR,
     slot_rem: np.ndarray,
     served_flat: np.ndarray,
-    served_width: int,
     unserved: np.ndarray,
     f_hops: np.ndarray,
     f_kms: np.ndarray,
@@ -332,14 +323,14 @@ def _walk_tail_python(
     served/unserved scatter-adds are replayed by ``np.add.at`` in the
     exact order they were recorded (sequential, hence bit-identical).
     """
-    if csr.sid_list is None:
-        csr.sid_list = csr.sid_ext.tolist()
+    if csr.cell_list is None:
+        csr.cell_list = csr.cell_ext.tolist()
         if csr.lo_dense is not None and csr.run_dense is not None:
             csr.lo_list = csr.lo_dense.tolist()
             csr.run_list = csr.run_dense.tolist()
         else:
             csr.key_list = csr.key.tolist()
-    sid_l = csr.sid_list
+    cell_l = csr.cell_list
     dense = csr.lo_list is not None
     lo_l: list[int] = csr.lo_list if csr.lo_list is not None else []
     run_l: list[int] = csr.run_list if csr.run_list is not None else []
@@ -406,7 +397,7 @@ def _walk_tail_python(
                         continue
                     take = cap if cap < a else a
                     rem[s] = cap - take
-                    s_idx_append(p * served_width + sid_l[s])
+                    s_idx_append(cell_l[s])
                     s_take_append(take)
                     a -= take
                     if a <= 0.0:
@@ -472,8 +463,11 @@ def serve_columnar(
     """
     counts = queries.counts
     num_partitions, num_dcs = counts.shape
-    served_width = num_servers + 1  # one sentinel server column
-    served = np.zeros((num_partitions, served_width), dtype=np.float64)
+    # Flat served buffer: the contiguous (P, S) matrix plus one trailing
+    # sentinel cell for padded drain lanes (see SlotCSR.cell_ext).
+    num_cells = num_partitions * num_servers
+    served_flat = np.zeros(num_cells + 1, dtype=np.float64)
+    served = served_flat[:num_cells].reshape(num_partitions, num_servers)
     traffic = np.zeros((num_partitions, num_dcs), dtype=np.float64)
     unserved = np.zeros(num_partitions, dtype=np.float64)
     holder_flow = np.zeros(num_partitions, dtype=np.float64)
@@ -483,7 +477,7 @@ def serve_columnar(
     flow_p, flow_o = np.nonzero(counts)
     if flow_p.shape[0] == 0:
         return ServiceResult(
-            served_server=served[:, :num_servers],
+            served_server=served,
             traffic_dc=traffic,
             unserved=unserved,
             holder_traffic=holder_flow,
@@ -504,8 +498,7 @@ def serve_columnar(
 
     slot_rem = csr.cap_ext.copy()
     sentinel = csr.n_slots
-    sid_ext = csr.sid_ext
-    served_flat = served.reshape(-1)
+    cell_ext = csr.cell_ext
     amount = counts[flow_p, flow_o].astype(np.float64)
     max_level = int(plen_f.max())
     # Traffic contributions are collected per level and applied in one
@@ -532,12 +525,10 @@ def serve_columnar(
             lo,
             run,
             has_slots,
-            flow_p,
             slot_rem,
-            sid_ext,
+            cell_ext,
             served_flat,
             sentinel,
-            served_width,
             unique_keys=tables.origin_start,
         )
         # One charge per (flow, level): everything absorbed here shares
@@ -579,7 +570,6 @@ def serve_columnar(
                 csr,
                 slot_rem,
                 served_flat,
-                served_width,
                 unserved,
                 f_hops,
                 f_kms,
@@ -616,7 +606,6 @@ def serve_columnar(
                             csr,
                             slot_rem,
                             served_flat,
-                            served_width,
                             unserved,
                             f_hops,
                             f_kms,
@@ -644,12 +633,10 @@ def serve_columnar(
                         lo,
                         run,
                         has_slots,
-                        part,
                         slot_rem,
-                        sid_ext,
+                        cell_ext,
                         served_flat,
                         sentinel,
-                        served_width,
                     )
                     absorbed = entry - amount
                     f_hops[cur] += absorbed * float(level)
@@ -672,7 +659,7 @@ def serve_columnar(
     active = np.nonzero(row_any)[0]
     holder_flow[active] = served[active, holder[active]] + unserved[active]
     return ServiceResult(
-        served_server=served[:, :num_servers],
+        served_server=served,
         traffic_dc=traffic,
         unserved=unserved,
         holder_traffic=holder_flow,

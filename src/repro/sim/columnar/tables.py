@@ -11,16 +11,21 @@ materialises them once per router:
 * ``km[o, h, l]`` — ``router.distance_km(o, path[o, h, l])``;
 * ``miss[o, h, l]`` — whether a query absorbed there violates the SLA.
 
-Every float in ``km`` and every flag in ``miss`` is produced by calling
-the *scalar* router / latency-model methods at build time, so the kernel
-reads back the exact same values the scalar walk computes per query —
-table lookups cannot introduce rounding differences.
+The tables are built with array operations: routes by walking the
+router's predecessor matrix back from every destination at once,
+distances by gathering from its distance matrix (the very float64
+values ``router.distance_km`` returns), and SLA flags through
+:meth:`LatencyModel.response_ms_array`, which evaluates the scalar
+latency formula lane by lane in the same operation order — so the
+kernel reads back exactly the values the scalar walk computes per
+query, and table lookups cannot introduce rounding differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...errors import TopologyError
 from ...metrics.latency import LatencyModel
 from ...net.routing import Router
 
@@ -47,27 +52,43 @@ class RouterTables:
 
     def __init__(self, router: Router, latency: LatencyModel) -> None:
         num_dcs = router.num_nodes
-        max_len = 1
-        for origin in range(num_dcs):
-            for holder in range(num_dcs):
-                max_len = max(max_len, len(router.path(origin, holder)))
+        dist = router.distance_matrix_km()
+        if not bool(np.isfinite(dist).all()):
+            raise TopologyError("route tables need a connected WAN")
+        prev = router.predecessor_matrix()
+        origin = np.arange(num_dcs)[:, None]
+        # Walk every route backwards at once: ``back[k][o, h]`` is the
+        # k-th node from the holder end (held in place once at origin).
+        node = np.broadcast_to(np.arange(num_dcs)[None, :], (num_dcs, num_dcs))
+        back = [node]
+        plen = np.ones((num_dcs, num_dcs), dtype=np.int64)
+        for _ in range(num_dcs - 1):
+            walking = node != origin
+            if not bool(walking.any()):
+                break
+            node = np.where(walking, prev[origin, node], node)
+            back.append(node)
+            plen += walking
+        max_len = len(back)
+        level = np.arange(max_len)
+        on_route = level[None, None, :] < plen[:, :, None]
+        # path[o, h, l] = back[plen - 1 - l][o, h] along the route, 0 past it.
+        hops_back = np.where(on_route, plen[:, :, None] - 1 - level, 0)
+        path = np.take_along_axis(
+            np.stack(back, axis=-1), hops_back, axis=-1
+        )
+        path = np.where(on_route, path, 0)
+        km = np.where(on_route, dist[origin[:, :, None], path], 0.0)
+        miss = on_route & (
+            latency.response_ms_array(km, np.broadcast_to(level, km.shape))
+            > latency.sla_ms
+        )
         self.num_dcs = num_dcs
         self.max_len = max_len
-        self.path = np.zeros((num_dcs, num_dcs, max_len), dtype=np.int64)
-        self.plen = np.zeros((num_dcs, num_dcs), dtype=np.int64)
-        self.km = np.zeros((num_dcs, num_dcs, max_len), dtype=np.float64)
-        self.miss = np.zeros((num_dcs, num_dcs, max_len), dtype=bool)
-        for origin in range(num_dcs):
-            for holder in range(num_dcs):
-                route = router.path(origin, holder)
-                self.plen[origin, holder] = len(route)
-                for level, dc in enumerate(route):
-                    distance = router.distance_km(origin, dc)
-                    self.path[origin, holder, level] = dc
-                    self.km[origin, holder, level] = distance
-                    self.miss[origin, holder, level] = (
-                        latency.response_ms(distance, level) > latency.sla_ms
-                    )
+        self.path = path
+        self.plen = plen
+        self.km = km
+        self.miss = miss
         for table in (self.path, self.plen, self.km, self.miss):
             table.setflags(write=False)
         # Kernel fast-path facts, proven against the built tables: every

@@ -25,9 +25,12 @@ from repro.experiments.scenarios import (
     flash_crowd_scenario,
     random_query_scenario,
 )
+from repro.geo import build_synthetic_hierarchy
 from repro.geo.hierarchy import DEFAULT_SITES, GeoHierarchy
 from repro.metrics.export import to_csv
+from repro.net import build_ring_wan
 from repro.net.builder import build_wan
+from repro.obs.perf.counters import WorkCounters
 from repro.obs.provenance import ProvenanceRecorder, diff_provenance
 from repro.sim.columnar import ColumnarSimulation
 from repro.sim.columnar import kernels as columnar_kernels
@@ -196,6 +199,60 @@ def test_wan_partition_fallback_is_equivalent() -> None:
         assert _chains(policy, scenario, "scalar") == _chains(
             policy, scenario, "columnar"
         ), f"policy={policy}"
+
+
+def test_hundred_datacenter_bootstrap_is_equivalent(tmp_path) -> None:
+    """The large-system regime the columnar fast paths are built for:
+    100 datacenters on a ring, one server each, heavy skew, starting
+    from one copy per partition.  Bootstrap (the bulk availability
+    placement) and the steady epochs after it must chain identically,
+    export identical metric CSVs and do identical counted work.  A
+    tight replication bandwidth makes bootstrap spill into a second
+    epoch, as it does at 2x10^4 partitions."""
+    num_dcs = 100
+    config = SimulationConfig(
+        seed=7,
+        cluster=ClusterParameters(
+            rooms_per_datacenter=1,
+            racks_per_room=1,
+            servers_per_rack=1,
+            replication_bandwidth_mb=15.0,
+        ),
+        workload=WorkloadParameters(
+            queries_per_epoch_mean=1_000.0, num_partitions=2_000, zipf_exponent=2.0
+        ),
+    )
+    epochs = 6
+    trace = random_query_scenario(
+        config, epochs=epochs, num_datacenters=num_dcs
+    ).trace
+    hierarchy = build_synthetic_hierarchy(num_dcs)
+    wan = build_ring_wan(hierarchy)
+    chains, csv_bytes, work = {}, {}, {}
+    for engine_cls in (Simulation, ColumnarSimulation):
+        name = engine_cls.engine_name
+        sanitizer = DeterminismSanitizer()
+        counters = WorkCounters()
+        sim = engine_cls(
+            config,
+            policy="rfh",
+            hierarchy=hierarchy,
+            wan=wan,
+            workload=trace,
+            sanitizer=sanitizer,
+            work=counters,
+        )
+        metrics = sim.run(epochs)
+        chains[name] = [r.chain for r in sanitizer.trail().records]
+        to_csv(metrics, tmp_path / f"{name}.csv")
+        csv_bytes[name] = (tmp_path / f"{name}.csv").read_bytes()
+        work[name] = counters.totals()
+    # Bootstrap: epoch 0 hits the bandwidth gate, epoch 1 finishes it.
+    assert metrics.array("skipped_actions")[0] > 0
+    assert metrics.array("replication_count")[1] > 0
+    assert chains["scalar"] == chains["columnar"]
+    assert csv_bytes["scalar"] == csv_bytes["columnar"]
+    assert work["scalar"] == work["columnar"]
 
 
 def test_engine_metadata_is_stamped() -> None:
