@@ -49,6 +49,11 @@ Sixteen subcommands cover the workflows a user reaches for first:
   judged through each metric's polarity; non-zero exit on regression or
   fingerprint mismatch, for CI gating).
 
+Exit codes: 0 success; 1 a verdict (regression, divergence, failed
+sweep cells, lint findings); 2 bad input — usage, flag values,
+configuration or an unreadable artifact — reported as one
+``repro: <message>`` line on stderr.
+
 Examples::
 
     python -m repro run --policy rfh --epochs 200 --seed 7
@@ -89,6 +94,7 @@ import sys
 from collections.abc import Sequence
 
 from .config import SimulationConfig, WorkloadParameters
+from .errors import ConfigurationError, ReproError
 from .experiments.comparison import POLICIES, compare_policies
 from .experiments.runner import ENGINES, run_experiment
 from .experiments.scenarios import (
@@ -741,7 +747,9 @@ def _make_tracer(args: argparse.Namespace):
         try:
             return JsonlTracer(args.trace_out)
         except OSError as exc:
-            raise SystemExit(f"cannot open --trace-out {args.trace_out!r}: {exc}")
+            raise ConfigurationError(
+                f"cannot open --trace-out {args.trace_out!r}: {exc}"
+            ) from exc
     return None
 
 
@@ -758,7 +766,7 @@ def _make_timeseries(args: argparse.Namespace):
         from .obs.timeseries import TimeseriesRecorder
 
         if args.timeseries_stride < 1:
-            raise SystemExit(
+            raise ConfigurationError(
                 f"--timeseries-stride must be >= 1, got {args.timeseries_stride}"
             )
         return TimeseriesRecorder(stride=args.timeseries_stride)
@@ -779,7 +787,7 @@ def _make_provenance(args: argparse.Namespace):
 
         budget = getattr(args, "provenance_budget", None)
         if budget is not None and budget < 1:
-            raise SystemExit(f"--provenance-budget must be >= 1, got {budget}")
+            raise ConfigurationError(f"--provenance-budget must be >= 1, got {budget}")
         if budget is not None:
             return ProvenanceRecorder(budget=budget)
         return ProvenanceRecorder()
@@ -1154,43 +1162,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_artifact(path: str):
-    import pathlib
-
-    from .errors import TsdbError
-    from .obs.timeseries import TsdbArtifact
-
-    if not pathlib.Path(path).exists():
-        raise SystemExit(f"no such time-series artifact: {path}")
-    try:
-        return TsdbArtifact.load(path)
-    except TsdbError as exc:
-        raise SystemExit(f"cannot load {path}: {exc}")
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     import pathlib
 
-    from .errors import TsdbError
     from .obs.timeseries import (
+        TsdbArtifact,
         diff_artifacts,
         render_diff_json,
         render_diff_markdown,
         render_diff_text,
     )
 
-    baseline = _load_artifact(args.baseline)
-    candidate = _load_artifact(args.candidate)
-    try:
-        report = diff_artifacts(
-            baseline,
-            candidate,
-            rel=args.rel_tol,
-            abs_=args.abs_tol,
-            columns=tuple(args.columns) if args.columns else None,
-        )
-    except TsdbError as exc:
-        raise SystemExit(f"cannot diff: {exc}")
+    report = diff_artifacts(
+        TsdbArtifact.load(args.baseline),
+        TsdbArtifact.load(args.candidate),
+        rel=args.rel_tol,
+        abs_=args.abs_tol,
+        columns=tuple(args.columns) if args.columns else None,
+    )
     renderers = {
         "text": lambda r: render_diff_text(r, verbose=args.verbose),
         "markdown": lambda r: render_diff_markdown(r, verbose=args.verbose),
@@ -1210,10 +1199,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     import pathlib
 
-    from .obs.timeseries import render_dashboard
+    from .obs.timeseries import TsdbArtifact, render_dashboard
 
-    run = _load_artifact(args.run)
-    baseline = _load_artifact(args.compare) if args.compare else None
+    run = TsdbArtifact.load(args.run)
+    baseline = TsdbArtifact.load(args.compare) if args.compare else None
     html = render_dashboard(run, baseline, title=args.title)
     pathlib.Path(args.out).write_text(html)
     print(f"wrote {args.out} ({len(html) / 1024:.0f} KiB, self-contained)")
@@ -1226,7 +1215,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .staticcheck import (
         DEFAULT_BASELINE_NAME,
         Baseline,
-        BaselineError,
         changed_python_files,
         lint_paths,
         render_github,
@@ -1238,16 +1226,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     baseline_path = args.baseline or DEFAULT_BASELINE_NAME
     if not args.no_baseline and not args.write_baseline:
         if args.baseline or pathlib.Path(baseline_path).exists():
-            try:
-                baseline = Baseline.load(baseline_path)
-            except BaselineError as exc:
-                raise SystemExit(str(exc))
+            baseline = Baseline.load(baseline_path)
     paths: list[str | pathlib.Path] = list(args.paths)
     if args.changed:
         try:
             paths = list(changed_python_files(paths))
         except RuntimeError as exc:
-            raise SystemExit(str(exc))
+            raise ConfigurationError(str(exc)) from exc
         if not paths:
             print("no changed python files under the given paths")
             return 0
@@ -1256,7 +1241,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             paths, select=args.select, baseline=baseline, jobs=args.jobs
         )
     except ValueError as exc:  # unknown --select rule id or family
-        raise SystemExit(str(exc))
+        raise ConfigurationError(str(exc)) from exc
     if args.write_baseline:
         new_baseline = Baseline.from_findings(result.findings)
         new_baseline.save(baseline_path)
@@ -1278,12 +1263,13 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     from .staticcheck.sanitizer import (
         DeterminismSanitizer,
-        FingerprintError,
         FingerprintTrail,
         bisect_divergence,
     )
 
     scenario = _scenario(args)
+    # A bad --against artifact fails before the run, not after it.
+    baseline = FingerprintTrail.load(args.against) if args.against else None
 
     def one_run() -> FingerprintTrail:
         sanitizer = DeterminismSanitizer()
@@ -1294,13 +1280,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     if args.save:
         candidate.save(args.save)
         print(f"wrote fingerprint trail to {args.save}")
-    if args.against:
-        try:
-            baseline = FingerprintTrail.load(args.against)
-        except FingerprintError as exc:
-            raise SystemExit(str(exc))
-        label = f"against {args.against}"
-    else:
+    label = f"against {args.against}"
+    if baseline is None:
         # The double-run: a fresh simulation replays the same recorded
         # trace, so any divergence is real nondeterminism, not workload.
         baseline = one_run()
@@ -1325,22 +1306,14 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from .errors import ProvenanceError
     from .obs.provenance import ProvArtifact, render_explanation
 
-    try:
-        artifact = ProvArtifact.load(args.artifact)
-    except ProvenanceError as exc:
-        raise SystemExit(f"cannot load {args.artifact}: {exc}")
-    try:
-        text = render_explanation(
-            artifact,
-            args.partition,
-            epoch=args.epoch,
-            why_not=args.why_not,
-        )
-    except ProvenanceError as exc:
-        raise SystemExit(str(exc))
+    text = render_explanation(
+        ProvArtifact.load(args.artifact),
+        args.partition,
+        epoch=args.epoch,
+        why_not=args.why_not,
+    )
     if args.out:
         import pathlib
 
@@ -1352,16 +1325,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_provdiff(args: argparse.Namespace) -> int:
-    from .errors import ProvenanceError
     from .obs.provenance import ProvArtifact, diff_provenance
 
-    artifacts = []
-    for path in (args.baseline, args.candidate):
-        try:
-            artifacts.append(ProvArtifact.load(path))
-        except ProvenanceError as exc:
-            raise SystemExit(f"cannot load {path}: {exc}")
-    report = diff_provenance(artifacts[0], artifacts[1])
+    report = diff_provenance(
+        ProvArtifact.load(args.baseline), ProvArtifact.load(args.candidate)
+    )
     print(f"provdiff {args.baseline} vs {args.candidate}")
     print(report.describe())
     return report.exit_code
@@ -1373,7 +1341,6 @@ def _sweep_manifest(args: argparse.Namespace):
     Axis flags override individual fields of a loaded manifest, so a
     committed grid can be re-run with, say, extra seeds without editing
     the file."""
-    from .errors import SweepError
     from .sweep import SweepManifest, SweepScale
 
     overrides: dict[str, object] = {}
@@ -1391,51 +1358,44 @@ def _sweep_manifest(args: argparse.Namespace):
         overrides["epochs"] = args.epochs
     if args.timeseries_stride is not None:
         overrides["timeseries_stride"] = args.timeseries_stride
-    try:
-        if args.manifest:
-            manifest = SweepManifest.load(args.manifest)
-            if args.partitions is not None or args.rate is not None:
-                base = manifest.scales[0]
-                overrides["scales"] = (
-                    SweepScale(
-                        base.name,
-                        partitions=args.partitions
-                        if args.partitions is not None
-                        else base.partitions,
-                        rate=args.rate if args.rate is not None else base.rate,
-                    ),
-                )
-            if overrides:
-                manifest = dataclasses.replace(manifest, **overrides)
-        else:
-            overrides.setdefault(
-                "scales",
-                (
-                    SweepScale(
-                        "paper",
-                        partitions=args.partitions
-                        if args.partitions is not None
-                        else 64,
-                        rate=args.rate if args.rate is not None else 300.0,
-                    ),
+    if args.manifest:
+        manifest = SweepManifest.load(args.manifest)
+        if args.partitions is not None or args.rate is not None:
+            base = manifest.scales[0]
+            overrides["scales"] = (
+                SweepScale(
+                    base.name,
+                    partitions=args.partitions
+                    if args.partitions is not None
+                    else base.partitions,
+                    rate=args.rate if args.rate is not None else base.rate,
                 ),
             )
-            manifest = SweepManifest(**overrides)
-    except SweepError as exc:
-        raise SystemExit(str(exc))
-    return manifest
+        if overrides:
+            manifest = dataclasses.replace(manifest, **overrides)
+        return manifest
+    overrides.setdefault(
+        "scales",
+        (
+            SweepScale(
+                "paper",
+                partitions=args.partitions if args.partitions is not None else 64,
+                rate=args.rate if args.rate is not None else 300.0,
+            ),
+        ),
+    )
+    return SweepManifest(**overrides)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import pathlib
 
-    from .errors import SweepError
     from .obs.fleet import FleetProgress
     from .sweep import SWEEP_ARTIFACT_NAME, render_sweep, run_sweep
 
     manifest = _sweep_manifest(args)
     if args.max_workers < 1:
-        raise SystemExit(f"--max-workers must be >= 1, got {args.max_workers}")
+        raise ConfigurationError(f"--max-workers must be >= 1, got {args.max_workers}")
     out = pathlib.Path(args.out or f"sweep-{manifest.manifest_hash}")
     print(
         f"sweep {manifest.name}: {manifest.num_cells} cell(s) "
@@ -1444,19 +1404,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"scales x {len(manifest.engines)} engines], "
         f"manifest hash {manifest.manifest_hash} -> {out}"
     )
-    try:
-        artifact = run_sweep(
-            manifest,
-            out,
-            max_workers=args.max_workers,
-            resume=args.resume,
-            verify=args.verify_cells,
-            progress=FleetProgress(manifest.num_cells),
-            inject_crash=args.inject_crash,
-            inject_mode=args.inject_mode,
-        )
-    except SweepError as exc:
-        raise SystemExit(str(exc))
+    artifact = run_sweep(
+        manifest,
+        out,
+        max_workers=args.max_workers,
+        resume=args.resume,
+        verify=args.verify_cells,
+        progress=FleetProgress(manifest.num_cells),
+        inject_crash=args.inject_crash,
+        inject_mode=args.inject_mode,
+    )
     print(f"wrote {out / SWEEP_ARTIFACT_NAME}")
 
     if args.report is not None:
@@ -1470,10 +1427,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from .obs.fleet.dashboard import render_fleet_dashboard
 
         dash_path = pathlib.Path(args.dashboard or out / "dashboard.html")
-        try:
-            dash_path.write_text(render_fleet_dashboard(artifact, out))
-        except SweepError as exc:
-            raise SystemExit(str(exc))
+        dash_path.write_text(render_fleet_dashboard(artifact, out))
         print(f"wrote {dash_path}")
 
     for failure in artifact.failures:
@@ -1485,16 +1439,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweepdiff(args: argparse.Namespace) -> int:
-    from .errors import SweepError
     from .sweep import SweepArtifact, diff_sweeps
 
-    artifacts = []
-    for path in (args.baseline, args.candidate):
-        try:
-            artifacts.append(SweepArtifact.load(path))
-        except SweepError as exc:
-            raise SystemExit(f"cannot load {path}: {exc}")
-    report = diff_sweeps(artifacts[0], artifacts[1])
+    report = diff_sweeps(
+        SweepArtifact.load(args.baseline), SweepArtifact.load(args.candidate)
+    )
     print(f"sweepdiff {args.baseline} vs {args.candidate}")
     print(report.render())
     return report.exit_code()
@@ -1552,23 +1501,14 @@ def _cmd_perfdiff(args: argparse.Namespace) -> int:
 
     from .obs.perf import (
         PerfProfile,
-        ProfileError,
         diff_profiles,
         render_perfdiff_json,
         render_perfdiff_text,
     )
 
-    profiles = []
-    for path in (args.baseline, args.candidate):
-        if not pathlib.Path(path).exists():
-            raise SystemExit(f"no such profile artifact: {path}")
-        try:
-            profiles.append(PerfProfile.load(path))
-        except ProfileError as exc:
-            raise SystemExit(f"cannot load {path}: {exc}")
     report = diff_profiles(
-        profiles[0],
-        profiles[1],
+        PerfProfile.load(args.baseline),
+        PerfProfile.load(args.candidate),
         rel_tol=args.rel_tol,
         abs_tol_s=args.abs_tol_ms / 1e3,
         gate_counters=args.gate_counters,
@@ -1610,6 +1550,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return commands[args.command](args)
+    except ReproError as exc:
+        # The one error boundary: bad input, config or artifacts exit 2
+        # with a single stderr line; exit 1 stays reserved for verdicts.
+        message = str(exc).replace("\n", " ") or type(exc).__name__
+        print(f"repro: {message}", file=sys.stderr)
+        return 2
     except BrokenPipeError:  # e.g. `repro analyze ... | head`
         # Downstream closed the pipe; detach stdout so the interpreter's
         # exit-time flush does not raise again.

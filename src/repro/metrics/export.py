@@ -12,6 +12,7 @@ import csv
 import json
 import pathlib
 
+from ..artifact import read_json
 from ..errors import SimulationError
 from .collector import MetricsCollector
 
@@ -68,7 +69,7 @@ def to_json(metrics: MetricsCollector, path: str | pathlib.Path) -> None:
 
 def from_json(path: str | pathlib.Path) -> MetricsCollector:
     """Rebuild a collector from :func:`to_json` output."""
-    payload = json.loads(pathlib.Path(path).read_text())
+    payload = read_json(path, SimulationError, "metrics export")
     if "series" not in payload or "epochs" not in payload:
         raise SimulationError(f"{path} is not an exported metrics file")
     series: dict[str, list[float]] = payload["series"]

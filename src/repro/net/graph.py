@@ -1,7 +1,6 @@
 """Validated, immutable WAN graph over datacenter indices.
 
-A thin wrapper around :class:`networkx.Graph` that enforces the
-invariants routing relies on:
+A sorted adjacency map that enforces the invariants routing relies on:
 
 * nodes are exactly ``0..n-1`` (datacenter indices);
 * every edge carries a strictly positive ``distance_km`` weight;
@@ -15,8 +14,6 @@ WAN level, so a frozen graph lets the router cache all-pairs paths once.
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-import networkx as nx
 
 from ..errors import TopologyError
 
@@ -47,8 +44,7 @@ class WanGraph:
     ) -> None:
         if num_nodes < 1:
             raise TopologyError(f"num_nodes must be >= 1, got {num_nodes}")
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_nodes))
+        adjacency: dict[int, dict[int, float]] = {n: {} for n in range(num_nodes)}
         for u, v, dist in edges:
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise TopologyError(f"edge ({u}, {v}) references an unknown node")
@@ -56,14 +52,19 @@ class WanGraph:
                 raise TopologyError(f"self-loop on node {u} is not allowed")
             if dist <= 0:
                 raise TopologyError(f"edge ({u}, {v}) must have positive distance, got {dist}")
-            if graph.has_edge(u, v):
+            if v in adjacency[u]:
                 raise TopologyError(f"duplicate edge ({u}, {v})")
-            graph.add_edge(u, v, distance_km=float(dist))
-        if num_nodes > 1 and not allow_disconnected and not nx.is_connected(graph):
-            components = [sorted(c) for c in nx.connected_components(graph)]
-            raise TopologyError(f"WAN graph is disconnected: components {components}")
-        self._graph = graph
+            adjacency[u][v] = adjacency[v][u] = float(dist)
+        self._adjacency = {
+            n: dict(sorted(links.items())) for n, links in adjacency.items()
+        }
         self._num_nodes = num_nodes
+        if num_nodes > 1 and not allow_disconnected:
+            components = self._components()
+            if len(components) > 1:
+                raise TopologyError(
+                    f"WAN graph is disconnected: components {components}"
+                )
 
     # ------------------------------------------------------------------
     @property
@@ -74,37 +75,34 @@ class WanGraph:
     @property
     def num_edges(self) -> int:
         """Number of WAN links."""
-        return self._graph.number_of_edges()
+        return sum(len(links) for links in self._adjacency.values()) // 2
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         """Sorted neighbour datacenters of ``node``."""
         self._check_node(node)
-        return tuple(sorted(self._graph.neighbors(node)))
+        return tuple(self._adjacency[node])
 
     def has_edge(self, u: int, v: int) -> bool:
         """True when a direct WAN link connects ``u`` and ``v``."""
-        return self._graph.has_edge(u, v)
+        return v in self._adjacency.get(u, {})
 
     def edge_distance_km(self, u: int, v: int) -> float:
         """Distance of the direct link ``u``–``v``.
 
         Raises :class:`TopologyError` when no such link exists.
         """
-        if not self._graph.has_edge(u, v):
+        if not self.has_edge(u, v):
             raise TopologyError(f"no WAN link between {u} and {v}")
-        return float(self._graph.edges[u, v]["distance_km"])
+        return self._adjacency[u][v]
 
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """All edges as sorted ``(u, v, distance_km)`` triples with u < v."""
-        out = []
-        for u, v, data in self._graph.edges(data=True):
-            a, b = (u, v) if u < v else (v, u)
-            out.append((a, b, float(data["distance_km"])))
-        return tuple(sorted(out))
-
-    def as_networkx(self) -> nx.Graph:
-        """A *copy* of the underlying graph (callers cannot mutate ours)."""
-        return self._graph.copy()
+        return tuple(
+            (u, v, dist)
+            for u, links in self._adjacency.items()
+            for v, dist in links.items()
+            if u < v
+        )
 
     def without_links(self, links: Iterable[tuple[int, int]]) -> "WanGraph":
         """A degraded copy with the given links removed.
@@ -118,13 +116,30 @@ class WanGraph:
         cut = set()
         for u, v in links:
             a, b = (u, v) if u < v else (v, u)
-            if not self._graph.has_edge(a, b):
+            if not self.has_edge(a, b):
                 raise TopologyError(f"cannot cut non-existent WAN link ({u}, {v})")
             cut.add((a, b))
         kept = [e for e in self.edges() if (e[0], e[1]) not in cut]
         return WanGraph(self._num_nodes, kept, allow_disconnected=True)
 
     # ------------------------------------------------------------------
+    def _components(self) -> list[list[int]]:
+        """Connected components by breadth-first search, each sorted,
+        listed in order of their least node."""
+        seen: set[int] = set()
+        components = []
+        for start in range(self._num_nodes):
+            if start in seen:
+                continue
+            seen.add(start)
+            component = [start]
+            for node in component:  # grows while it is walked: a BFS queue
+                fresh = [peer for peer in self._adjacency[node] if peer not in seen]
+                seen.update(fresh)
+                component.extend(fresh)
+            components.append(sorted(component))
+        return components
+
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self._num_nodes:
             raise TopologyError(f"datacenter index out of range: {node}")

@@ -3,9 +3,9 @@
 One :class:`PerfProfile` bundles everything a profiling session
 measured — per-phase wall-clock summaries, the kernel/function call
 tree, the work-counter totals and the allocation accounting — into a
-single versioned JSON document (``format: repro-prof``), mirroring the
-``repro-tsdb`` artifact convention: a loader that validates format and
-version, and renderers that never need the live run again.
+single versioned JSON document (``format: repro-prof``), written and
+strictly read through :mod:`repro.artifact` like every other repro
+artifact, and renderers that never need the live run again.
 
 Exporters:
 
@@ -22,10 +22,10 @@ Exporters:
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
 
+from ...artifact import ArtifactFormat, write_json
 from ...errors import ReproError
 
 __all__ = ["PerfProfile", "ProfileError", "PROF_FORMAT", "PROF_VERSION"]
@@ -36,6 +36,9 @@ PROF_VERSION = 1
 
 class ProfileError(ReproError):
     """A profile artifact could not be read or is malformed."""
+
+
+_CODEC = ArtifactFormat(PROF_FORMAT, PROF_VERSION, ProfileError)
 
 
 @dataclass
@@ -71,33 +74,20 @@ class PerfProfile:
     # Serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        return {
-            "format": PROF_FORMAT,
-            "version": PROF_VERSION,
+        return _CODEC.envelope({
             "meta": self.meta,
             "phases": self.phases,
             "nodes": self.nodes,
             "counters": self.counters,
             "allocations": self.allocations,
-        }
+        })
 
     def save(self, path: str | pathlib.Path) -> None:
-        pathlib.Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
+        _CODEC.save(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "PerfProfile":
-        if not isinstance(payload, dict):
-            raise ProfileError("profile artifact is not a JSON object")
-        if payload.get("format") != PROF_FORMAT:
-            raise ProfileError(
-                f"not a {PROF_FORMAT} artifact (format={payload.get('format')!r})"
-            )
-        version = payload.get("version")
-        if version != PROF_VERSION:
-            raise ProfileError(
-                f"unsupported {PROF_FORMAT} version {version!r} "
-                f"(this build reads version {PROF_VERSION})"
-            )
+        payload = _CODEC.check(payload)
         return cls(
             meta=dict(payload.get("meta") or {}),
             phases=dict(payload.get("phases") or {}),
@@ -108,13 +98,7 @@ class PerfProfile:
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "PerfProfile":
-        try:
-            payload = json.loads(pathlib.Path(path).read_text())
-        except OSError as exc:
-            raise ProfileError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ProfileError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(_CODEC.load(path))
 
     # ------------------------------------------------------------------
     # Derived views
@@ -188,6 +172,4 @@ class PerfProfile:
         }
 
     def save_speedscope(self, path: str | pathlib.Path) -> None:
-        pathlib.Path(path).write_text(
-            json.dumps(self.speedscope(), separators=(",", ":")) + "\n"
-        )
+        write_json(path, self.speedscope(), compact=True)

@@ -21,11 +21,10 @@ Layout::
 
 from __future__ import annotations
 
-import json
-import math
 import pathlib
 from dataclasses import dataclass, field
 
+from ...artifact import ArtifactFormat, clean, restore
 from ...errors import ProvenanceError
 from .records import CandidateEval, DecisionRecord, PredicateEval
 
@@ -35,6 +34,8 @@ __all__ = ["PROV_FORMAT", "PROV_VERSION", "ProvArtifact"]
 PROV_FORMAT = "repro-prov"
 #: Schema version; bumped on any incompatible layout change.
 PROV_VERSION = 1
+
+_CODEC = ArtifactFormat(PROV_FORMAT, PROV_VERSION, ProvenanceError, compact=True)
 
 _DECISION_STRINGS = ("branch", "action", "reason", "fate", "fate_cause")
 _DECISION_INTS = (
@@ -48,14 +49,6 @@ _DECISION_INTS = (
     "holder_dc",
 )
 _DECISION_FLOATS = ("avg_query", "holder_traffic", "unserved", "mean_traffic")
-
-
-def _clean(value: float) -> float | None:
-    return float(value) if math.isfinite(value) else None
-
-
-def _restore(value: object) -> float:
-    return float("nan") if value is None else float(value)
 
 
 class _Interner:
@@ -145,13 +138,13 @@ class ProvArtifact:
             for name in _DECISION_STRINGS:
                 decisions[name].append(interner.add(str(getattr(rec, name))))
             for name in _DECISION_FLOATS:
-                decisions[name].append(_clean(getattr(rec, name)))
+                decisions[name].append(clean(float(getattr(rec, name))))
             for pred in rec.predicates:
                 predicates["decision"].append(row)
                 predicates["eq"].append(interner.add(pred.eq))
                 predicates["subject"].append(interner.add(pred.subject))
-                predicates["lhs"].append(_clean(pred.lhs))
-                predicates["threshold"].append(_clean(pred.threshold))
+                predicates["lhs"].append(clean(float(pred.lhs)))
+                predicates["threshold"].append(clean(float(pred.threshold)))
                 predicates["passed"].append(1 if pred.passed else 0)
             for cand in rec.candidates:
                 candidates["decision"].append(row)
@@ -160,11 +153,9 @@ class ProvArtifact:
                 candidates["sid"].append(int(cand.sid))
                 candidates["verdict"].append(interner.add(cand.verdict))
                 candidates["cause"].append(interner.add(cand.cause))
-                candidates["value"].append(_clean(cand.value))
-                candidates["threshold"].append(_clean(cand.threshold))
-        return {
-            "format": PROV_FORMAT,
-            "version": PROV_VERSION,
+                candidates["value"].append(clean(float(cand.value)))
+                candidates["threshold"].append(clean(float(cand.threshold)))
+        return _CODEC.envelope({
             "meta": dict(self.meta),
             "budget": int(self.budget),
             "noop_dropped": {
@@ -175,21 +166,11 @@ class ProvArtifact:
             "decisions": decisions,
             "predicates": predicates,
             "candidates": candidates,
-        }
+        })
 
     @classmethod
     def from_dict(cls, raw: object) -> ProvArtifact:
-        if not isinstance(raw, dict) or raw.get("format") != PROV_FORMAT:
-            raise ProvenanceError(
-                f"not a {PROV_FORMAT} artifact "
-                f"(format={raw.get('format') if isinstance(raw, dict) else raw!r})"
-            )
-        version = raw.get("version")
-        if version != PROV_VERSION:
-            raise ProvenanceError(
-                f"unsupported {PROV_FORMAT} version {version!r} "
-                f"(this build reads version {PROV_VERSION})"
-            )
+        raw = _CODEC.check(raw)
         try:
             strings = [str(s) for s in raw["strings"]]
 
@@ -213,7 +194,7 @@ class ProvArtifact:
             for name in _DECISION_STRINGS:
                 columns[name] = list(intern_of(f"decisions.{name}", decisions[name]))
             for name in _DECISION_FLOATS:
-                columns[name] = [_restore(v) for v in decisions[name]]
+                columns[name] = [float(v) for v in restore(decisions[name])]
             for name, values in columns.items():
                 if len(values) != n:
                     raise ProvenanceError(
@@ -230,7 +211,7 @@ class ProvArtifact:
                     if kind == "int":
                         cols[name] = [int(v) for v in column]  # type: ignore[union-attr]
                     elif kind == "float":
-                        cols[name] = [_restore(v) for v in column]  # type: ignore[union-attr]
+                        cols[name] = [float(v) for v in restore(column)]  # type: ignore[union-attr]
                     else:
                         cols[name] = list(intern_of(f"{table_name}.{name}", column))
                 m = len(cols["decision"])
@@ -341,21 +322,11 @@ class ProvArtifact:
             raise ProvenanceError(f"malformed {PROV_FORMAT} artifact: {exc}") from exc
 
     def save(self, path: str | pathlib.Path) -> None:
-        """Write the artifact as compact JSON (still ``jq``-able)."""
-        payload = json.dumps(
-            self.to_dict(), separators=(",", ":"), allow_nan=False
-        )
-        pathlib.Path(path).write_text(payload + "\n")
+        """Atomically write the artifact as compact JSON (still ``jq``-able)."""
+        _CODEC.save(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> ProvArtifact:
         """Read an artifact back; raises :class:`ProvenanceError` on any
         format problem (including a file that is not JSON at all)."""
-        path = pathlib.Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ProvenanceError(
-                f"cannot read provenance artifact {path}: {exc}"
-            ) from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_CODEC.load(path))

@@ -19,13 +19,12 @@ the dashboard):
 
 from __future__ import annotations
 
-import json
-import math
 import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ...artifact import ArtifactFormat, clean, restore
 from ...errors import TsdbError
 
 __all__ = ["TSDB_FORMAT", "TSDB_VERSION", "Marker", "TsdbArtifact"]
@@ -34,6 +33,8 @@ __all__ = ["TSDB_FORMAT", "TSDB_VERSION", "Marker", "TsdbArtifact"]
 TSDB_FORMAT = "repro-tsdb"
 #: Schema version; bumped on any incompatible layout change.
 TSDB_VERSION = 1
+
+_CODEC = ArtifactFormat(TSDB_FORMAT, TSDB_VERSION, TsdbError)
 
 
 @dataclass(frozen=True)
@@ -118,46 +119,24 @@ class TsdbArtifact:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        def clean(values: np.ndarray) -> list[float | None]:
-            # JSON has no NaN/Inf; emit null and restore on load.
-            return [
-                float(v) if math.isfinite(v) else None for v in values
-            ]
-
-        return {
-            "format": TSDB_FORMAT,
-            "version": TSDB_VERSION,
+        return _CODEC.envelope({
             "meta": dict(self.meta),
             "stride": self.stride,
             "decimation": self.decimation,
             "epochs": [int(e) for e in self.epochs],
-            "columns": {name: clean(self.columns[name]) for name in sorted(self.columns)},
+            "columns": {
+                name: clean(np.asarray(self.columns[name], dtype=np.float64).tolist())
+                for name in sorted(self.columns)
+            },
             "markers": [m.to_dict() for m in self.markers],
-        }
+        })
 
     @classmethod
     def from_dict(cls, raw: dict[str, object]) -> TsdbArtifact:
-        if not isinstance(raw, dict) or raw.get("format") != TSDB_FORMAT:
-            raise TsdbError(
-                f"not a {TSDB_FORMAT} artifact "
-                f"(format={raw.get('format') if isinstance(raw, dict) else raw!r})"
-            )
-        version = raw.get("version")
-        if version != TSDB_VERSION:
-            raise TsdbError(
-                f"unsupported {TSDB_FORMAT} version {version!r} "
-                f"(this build reads version {TSDB_VERSION})"
-            )
-
-        def restore(values: list[float | None]) -> np.ndarray:
-            return np.array(
-                [float("nan") if v is None else float(v) for v in values],
-                dtype=np.float64,
-            )
-
+        raw = _CODEC.check(raw)
         try:
             columns = {
-                str(name): restore(values)
+                str(name): np.array(restore(values), dtype=np.float64)
                 for name, values in raw["columns"].items()
             }
             return cls(
@@ -174,17 +153,11 @@ class TsdbArtifact:
             raise TsdbError(f"malformed {TSDB_FORMAT} artifact: {exc}") from exc
 
     def save(self, path: str | pathlib.Path) -> None:
-        """Write the artifact to ``path`` as pretty-printed JSON."""
-        payload = json.dumps(self.to_dict(), indent=1, allow_nan=False)
-        pathlib.Path(path).write_text(payload + "\n")
+        """Atomically write the artifact to ``path`` (see :mod:`repro.artifact`)."""
+        _CODEC.save(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> TsdbArtifact:
         """Read an artifact back; raises :class:`TsdbError` on any
         format problem (including a file that is not JSON at all)."""
-        path = pathlib.Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise TsdbError(f"cannot read tsdb artifact {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_CODEC.load(path))

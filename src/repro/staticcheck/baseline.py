@@ -14,9 +14,9 @@ edits above a finding do not invalidate the baseline.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from ..artifact import ArtifactFormat
 from ..errors import SimulationError
 from .findings import Finding
 
@@ -30,6 +30,9 @@ _VERSION = 1
 
 class BaselineError(SimulationError):
     """The baseline file is malformed."""
+
+
+_CODEC = ArtifactFormat(_FORMAT, _VERSION, BaselineError)
 
 
 class Baseline:
@@ -75,22 +78,7 @@ class Baseline:
 
     @classmethod
     def load(cls, path: str | Path) -> "Baseline":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise BaselineError(f"cannot read baseline {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise BaselineError(f"baseline {path} is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
-            raise BaselineError(
-                f"baseline {path} is not a {_FORMAT!r} file"
-            )
-        version = payload.get("version")
-        if version != _VERSION:
-            raise BaselineError(
-                f"baseline {path} has unsupported version {version!r} "
-                f"(supported: {_VERSION})"
-            )
+        payload = _CODEC.load(path)
         findings = payload.get("findings")
         if not isinstance(findings, list) or not all(
             isinstance(entry, dict) for entry in findings
@@ -102,13 +90,7 @@ class Baseline:
     # Serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        return {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "findings": self._entries,
-        }
+        return _CODEC.envelope({"findings": self._entries})
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=1) + "\n", encoding="utf-8"
-        )
+        _CODEC.save(path, self.to_dict())

@@ -35,6 +35,7 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+from ..artifact import ArtifactFormat
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,6 +63,9 @@ _VERSION = 1
 
 class FingerprintError(SimulationError):
     """A fingerprint artifact is malformed or unusable."""
+
+
+_CODEC = ArtifactFormat(_FORMAT, _VERSION, FingerprintError)
 
 
 def _hexdigest(payload: bytes) -> str:
@@ -132,27 +136,17 @@ class FingerprintTrail:
     # Artifact I/O
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        return {
-            "format": _FORMAT,
-            "version": _VERSION,
+        return _CODEC.envelope({
             "meta": dict(self.meta),
             "epochs": [record.to_dict() for record in self.records],
-        }
+        })
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=1) + "\n", encoding="utf-8"
-        )
+        _CODEC.save(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "FingerprintTrail":
-        if not isinstance(payload, Mapping) or payload.get("format") != _FORMAT:
-            raise FingerprintError(f"not a {_FORMAT!r} artifact")
-        if payload.get("version") != _VERSION:
-            raise FingerprintError(
-                f"unsupported fingerprint version {payload.get('version')!r} "
-                f"(supported: {_VERSION})"
-            )
+        payload = _CODEC.check(payload)
         epochs = payload.get("epochs")
         if not isinstance(epochs, list):
             raise FingerprintError("'epochs' must be a list")
@@ -164,13 +158,7 @@ class FingerprintTrail:
 
     @classmethod
     def load(cls, path: str | Path) -> "FingerprintTrail":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise FingerprintError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FingerprintError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(_CODEC.load(path))
 
 
 class DeterminismSanitizer:

@@ -12,11 +12,10 @@ diffable in CI without this library.
 
 from __future__ import annotations
 
-import json
-import math
 import pathlib
 from dataclasses import dataclass, field
 
+from ..artifact import ArtifactFormat, clean as _clean, restore as _restore
 from ..errors import SweepError
 from .manifest import SweepManifest
 
@@ -27,32 +26,12 @@ SWEEP_FORMAT = "repro-sweep"
 #: Schema version; bumped on any incompatible layout change.
 SWEEP_VERSION = 1
 
+_CODEC = ArtifactFormat(SWEEP_FORMAT, SWEEP_VERSION, SweepError)
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SweepError(message)
-
-
-def _clean(value: object) -> object:
-    """JSON has no NaN/Inf; encode them as null (restored on load as
-    NaN, which every consumer treats as "missing")."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_clean(v) for v in value]
-    return value
-
-
-def _restore(value: object) -> object:
-    if value is None:
-        return float("nan")
-    if isinstance(value, dict):
-        return {k: _restore(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_restore(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -101,30 +80,18 @@ class SweepArtifact:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        return {
-            "format": SWEEP_FORMAT,
-            "version": SWEEP_VERSION,
+        return _CODEC.envelope({
             "manifest": self.manifest.to_dict(),
             "manifest_hash": self.manifest.manifest_hash,
             "meta": dict(self.meta),
             "cells": _clean(list(self.cells)),
             "failures": _clean(list(self.failures)),
             "groups": _clean(dict(self.groups)),
-        }
+        })
 
     @classmethod
     def from_dict(cls, raw: object) -> "SweepArtifact":
-        _require(isinstance(raw, dict), f"not a {SWEEP_FORMAT} artifact: {raw!r}")
-        assert isinstance(raw, dict)
-        _require(
-            raw.get("format") == SWEEP_FORMAT,
-            f"not a {SWEEP_FORMAT} artifact (format={raw.get('format')!r})",
-        )
-        _require(
-            raw.get("version") == SWEEP_VERSION,
-            f"unsupported {SWEEP_FORMAT} version {raw.get('version')!r} "
-            f"(this build reads version {SWEEP_VERSION})",
-        )
+        raw = _CODEC.check(raw)
         manifest = SweepManifest.from_dict(raw.get("manifest"))
         recorded_hash = raw.get("manifest_hash")
         if recorded_hash is not None and recorded_hash != manifest.manifest_hash:
@@ -156,14 +123,8 @@ class SweepArtifact:
         )
 
     def save(self, path: str | pathlib.Path) -> None:
-        payload = json.dumps(self.to_dict(), indent=1, allow_nan=False)
-        pathlib.Path(path).write_text(payload + "\n")
+        _CODEC.save(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "SweepArtifact":
-        path = pathlib.Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SweepError(f"cannot read sweep artifact {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_CODEC.load(path))

@@ -23,6 +23,7 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
+from ..artifact import read_json, write_json
 from ..config import SimulationConfig, WorkloadParameters
 from ..errors import SweepError
 from ..experiments.comparison import POLICIES
@@ -321,15 +322,10 @@ class SweepManifest:
     def save(self, path: str | pathlib.Path) -> None:
         payload = self.to_dict()
         payload["manifest_hash"] = self.manifest_hash
-        pathlib.Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+        write_json(path, payload)
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "SweepManifest":
-        path = pathlib.Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SweepError(f"cannot read sweep manifest {path}: {exc}") from exc
-        if isinstance(raw, dict):
-            raw.pop("manifest_hash", None)  # advisory on disk, recomputed
+        raw = read_json(path, SweepError, "sweep manifest")
+        raw.pop("manifest_hash", None)  # advisory on disk, recomputed
         return cls.from_dict(raw)

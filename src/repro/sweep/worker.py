@@ -20,14 +20,14 @@ exceptions into structured failure records instead of dying.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import queue
 import threading
 import traceback
 
-from ..errors import ReproError
+from ..artifact import clean, read_json, write_json
+from ..errors import ReproError, SweepError
 from ..experiments.runner import run_experiment
 from ..metrics.export import to_csv
 from ..obs.fleet.events import (
@@ -41,7 +41,6 @@ from ..obs.fleet.events import (
 )
 from ..obs.timeseries import TimeseriesRecorder
 from ..staticcheck.sanitizer import DeterminismSanitizer
-from .artifact import _clean
 from .manifest import SweepCell, build_cell_scenario
 
 __all__ = [
@@ -168,9 +167,7 @@ def run_cell(
         "resumed": False,
         "verified": bool(verify),
     }
-    (cell_dir / CELL_ARTIFACTS["record"]).write_text(
-        json.dumps(_clean(record), indent=1, allow_nan=False) + "\n"
-    )
+    write_json(cell_dir / CELL_ARTIFACTS["record"], clean(record))
     return record
 
 
@@ -185,10 +182,10 @@ def load_cell_record(
     """
     record_path = pathlib.Path(cell_dir) / CELL_ARTIFACTS["record"]
     try:
-        raw = json.loads(record_path.read_text())
-    except (OSError, json.JSONDecodeError):
+        raw = read_json(record_path, SweepError, "cell record")
+    except SweepError:
         return None
-    if not isinstance(raw, dict) or raw.get("status") != "ok":
+    if raw.get("status") != "ok":
         return None
     if raw.get("digest") != cell.digest or raw.get("manifest_hash") != manifest_hash:
         return None

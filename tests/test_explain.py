@@ -160,9 +160,12 @@ class TestCli:
         assert main(["provdiff", str(a), str(b)]) == 1
         assert "FIRST DIVERGENCE" in capsys.readouterr().out
 
-    def test_explain_rejects_missing_artifact(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["explain", str(tmp_path / "no.prov.json"), "--partition", "0"])
+    def test_explain_rejects_missing_artifact(self, tmp_path, capsys):
+        missing = tmp_path / "no.prov.json"
+        assert main(["explain", str(missing), "--partition", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: cannot read repro-prov artifact")
+        assert str(missing) in err and err.count("\n") == 1
 
     def test_compare_writes_per_policy_ledgers(self, tmp_path, capsys):
         out = tmp_path / "cmp.prov.json"

@@ -78,12 +78,6 @@ class TestWanGraph:
         wan = WanGraph(3, [(2, 0, 4.0), (1, 0, 3.0)])
         assert wan.edges() == ((0, 1, 3.0), (0, 2, 4.0))
 
-    def test_as_networkx_is_a_copy(self):
-        wan = WanGraph(2, [(0, 1, 1.0)])
-        g = wan.as_networkx()
-        g.remove_edge(0, 1)
-        assert wan.has_edge(0, 1)
-
 
 class TestRouter:
     def test_path_endpoints_inclusive(self, router):

@@ -466,9 +466,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["regressed"] >= 1
 
-    def test_perfdiff_missing_file_fails_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such profile"):
-            main(["perfdiff", str(tmp_path / "a"), str(tmp_path / "b")])
+    def test_perfdiff_missing_file_fails_cleanly(self, tmp_path, capsys):
+        assert main(["perfdiff", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: cannot read repro-prof artifact")
+        assert str(tmp_path / "a") in err and err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------
