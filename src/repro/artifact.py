@@ -18,7 +18,10 @@ decisions made here, so each format module keeps only its schema:
   temp file in the target's directory and moved into place with
   :func:`os.replace`, so a reader sees the old file or the new one,
   never a truncated one.  There is no fsync: the guarantee is against
-  a dying writer, not a dying machine.
+  a dying writer, not a dying machine.  A target that cannot be
+  written (missing directory, no permission) raises
+  :class:`~repro.errors.ConfigurationError` naming the path, like any
+  other bad output flag.
 * **Layouts** — ``indent=1`` everywhere except the compact
   ``.prov.json``; every file ends in a newline.
 """
@@ -33,9 +36,9 @@ import pathlib
 import threading
 from dataclasses import dataclass
 
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 
-__all__ = ["ArtifactFormat", "clean", "read_json", "restore", "write_json"]
+__all__ = ["ArtifactFormat", "clean", "read_json", "restore", "write_json", "write_text"]
 
 _NAN = float("nan")
 _isfinite = math.isfinite
@@ -68,6 +71,28 @@ def restore(value: object) -> object:
     return value
 
 
+def write_text(path: str | pathlib.Path, text: str) -> None:
+    """Atomically replace ``path`` with ``text``, written verbatim."""
+    path = pathlib.Path(path)
+    # A thread writes one file at a time, so (pid, thread) names a
+    # writer uniquely and concurrent writers never share a temp file.
+    temp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise ConfigurationError(
+                f"cannot write {path}: {exc.strerror or exc}"
+            ) from exc
+        raise
+
+
 def write_json(
     path: str | pathlib.Path, payload: object, *, compact: bool = False
 ) -> None:
@@ -81,20 +106,7 @@ def write_json(
         text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
     else:
         text = json.dumps(payload, indent=1, allow_nan=False)
-    path = pathlib.Path(path)
-    # A thread writes one file at a time, so (pid, thread) names a
-    # writer uniquely and concurrent writers never share a temp file.
-    temp = path.with_name(
-        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    )
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
-        raise
+    write_text(path, text + "\n")
 
 
 def read_json(

@@ -92,6 +92,7 @@ import dataclasses
 import os
 import sys
 from collections.abc import Sequence
+from typing import Any
 
 from .config import SimulationConfig, WorkloadParameters
 from .errors import ConfigurationError, ReproError
@@ -740,28 +741,37 @@ def _invariants(args: argparse.Namespace):
 
 
 def _make_tracer(args: argparse.Namespace):
-    """Open the JSONL sink eagerly so a bad path fails before the run."""
+    """The tracer the flags ask for, as ``(tracer, ring)``.
+
+    ``--trace-out`` opens the JSONL sink eagerly so a bad path fails
+    before the run; ``--analyze`` without it captures events in a
+    memory ring, returned a second time as ``ring``.
+    """
     if getattr(args, "trace_out", None):
         from .obs.trace import JsonlTracer
 
         try:
-            return JsonlTracer(args.trace_out)
+            return JsonlTracer(args.trace_out), None
         except OSError as exc:
             raise ConfigurationError(
                 f"cannot open --trace-out {args.trace_out!r}: {exc}"
             ) from exc
-    return None
+    if getattr(args, "analyze", False):
+        from .obs.trace import RingBufferTracer
+
+        ring = RingBufferTracer(capacity=1_000_000)
+        return ring, ring
+    return None, None
 
 
-def _make_profiler(args: argparse.Namespace):
+def _make_observers(args: argparse.Namespace) -> dict[str, Any]:
+    """One run's observer keywords for ``run_experiment``, as the flags
+    ask for them (compare builds one set per policy)."""
+    observers: dict[str, Any] = {}
     if getattr(args, "profile", False):
         from .obs.profiler import PhaseProfiler
 
-        return PhaseProfiler()
-    return None
-
-
-def _make_timeseries(args: argparse.Namespace):
+        observers["profiler"] = PhaseProfiler()
     if getattr(args, "timeseries_out", None):
         from .obs.timeseries import TimeseriesRecorder
 
@@ -769,79 +779,75 @@ def _make_timeseries(args: argparse.Namespace):
             raise ConfigurationError(
                 f"--timeseries-stride must be >= 1, got {args.timeseries_stride}"
             )
-        return TimeseriesRecorder(stride=args.timeseries_stride)
-    return None
-
-
-def _make_sanitizer(args: argparse.Namespace):
+        observers["timeseries"] = TimeseriesRecorder(stride=args.timeseries_stride)
     if getattr(args, "sanitize", False) or getattr(args, "fingerprint_out", None):
         from .staticcheck.sanitizer import DeterminismSanitizer
 
-        return DeterminismSanitizer()
-    return None
-
-
-def _make_provenance(args: argparse.Namespace):
+        observers["sanitizer"] = DeterminismSanitizer()
     if getattr(args, "provenance_out", None):
-        from .obs.provenance import ProvenanceRecorder
+        from .obs.provenance import DEFAULT_BUDGET, ProvenanceRecorder
 
         budget = getattr(args, "provenance_budget", None)
         if budget is not None and budget < 1:
             raise ConfigurationError(f"--provenance-budget must be >= 1, got {budget}")
-        if budget is not None:
-            return ProvenanceRecorder(budget=budget)
-        return ProvenanceRecorder()
-    return None
+        observers["provenance"] = ProvenanceRecorder(
+            budget=DEFAULT_BUDGET if budget is None else budget
+        )
+    return observers
 
 
-def _save_provenance(recorder, path: str) -> None:
-    artifact = recorder.artifact()
-    artifact.save(path)
-    dropped = artifact.noop_dropped_total
-    compacted = f" ({dropped} no-op decisions compacted)" if dropped else ""
-    print(
-        f"wrote {artifact.num_decisions} decision records "
-        f"({artifact.num_actions} with actions){compacted} to {path}; "
-        f"query with `repro explain {path} --partition P`"
-    )
+def _report_observers(
+    args: argparse.Namespace, observers: dict[str, Any], policy: str | None = None
+) -> None:
+    """Save and summarise one run's observers; ``policy`` tags compare's
+    per-policy output paths and headings."""
+
+    def out(path: str | None) -> str | None:
+        return tagged_path(path, policy) if path and policy else path
+
+    timeseries = observers.get("timeseries")
+    if timeseries is not None:
+        path = out(args.timeseries_out)
+        frame = timeseries.save(path)
+        print(
+            f"wrote {len(frame.epochs)} time-series points x "
+            f"{len(frame.columns)} columns to {path}"
+        )
+    provenance = observers.get("provenance")
+    if provenance is not None:
+        path = out(args.provenance_out)
+        ledger = provenance.artifact()
+        ledger.save(path)
+        dropped = ledger.noop_dropped_total
+        compacted = f" ({dropped} no-op decisions compacted)" if dropped else ""
+        print(
+            f"wrote {ledger.num_decisions} decision records "
+            f"({ledger.num_actions} with actions){compacted} to {path}; "
+            f"query with `repro explain {path} --partition P`"
+        )
+    sanitizer = observers.get("sanitizer")
+    if sanitizer is not None:
+        trail = sanitizer.trail()
+        tag = f"[{policy}] " if policy else ""
+        print(
+            f"{tag}determinism fingerprint: {trail.final_chain} "
+            f"({len(trail)} epoch(s) chained)"
+        )
+        fingerprint_out = out(getattr(args, "fingerprint_out", None))
+        if fingerprint_out:
+            trail.save(fingerprint_out)
+            print(f"wrote fingerprint trail to {fingerprint_out}")
+    profiler = observers.get("profiler")
+    if profiler is not None:
+        print(f"\nphase timings{f' ({policy})' if policy else ''}:")
+        print(profiler.render_table())
 
 
-def _report_sanitizer(sanitizer, fingerprint_out: str | None) -> None:
-    """Print the final chain (and save the trail) after a sanitized run."""
-    if sanitizer is None:
-        return
-    trail = sanitizer.trail()
-    print(
-        f"determinism fingerprint: {trail.final_chain} "
-        f"({len(trail)} epoch(s) chained)"
-    )
-    if fingerprint_out:
-        trail.save(fingerprint_out)
-        print(f"wrote fingerprint trail to {fingerprint_out}")
-
-
-def _save_timeseries(recorder, path: str) -> None:
-    artifact = recorder.artifact()
-    artifact.save(path)
-    print(
-        f"wrote {len(artifact.epochs)} time-series points x "
-        f"{len(artifact.columns)} columns to {path}"
-    )
-
-
-def _capture_for_analysis(args: argparse.Namespace, tracer):
-    """When ``--analyze`` was asked without ``--trace-out``, capture
-    events in memory; returns (tracer, ring_buffer_or_None)."""
-    if not getattr(args, "analyze", False) or tracer is not None:
-        return tracer, None
-    from .obs.trace import RingBufferTracer
-
-    ring = RingBufferTracer(capacity=1_000_000)
-    return ring, ring
-
-
-def _warn_dropped(tracer) -> None:
-    """Surface silent ring-buffer eviction in the run summary."""
+def _report_trace(args: argparse.Namespace, tracer, ring) -> None:
+    """After a run: the trace summary, ring eviction and ``--analyze``."""
+    if getattr(args, "trace_out", None):
+        print(f"wrote {tracer.emitted} trace records to {args.trace_out}")
+    # Surface silent ring-buffer eviction in the run summary.
     dropped = getattr(tracer, "dropped", 0)
     if dropped:
         print(
@@ -850,31 +856,39 @@ def _warn_dropped(tracer) -> None:
             "the most recent events only",
             file=sys.stderr,
         )
-
-
-def _run_analysis(args: argparse.Namespace, ring) -> None:
-    """The in-process ``--analyze`` pipeline for run/compare."""
-    from .obs.analysis import AnalysisOptions, analyze_events, analyze_trace, render_text
-
-    options = AnalysisOptions()
-    if ring is not None:
-        analysis = analyze_events(
-            ring.events(), options=options, source="<in-memory trace>"
+    if getattr(args, "analyze", False):
+        from .obs.analysis import (
+            AnalysisOptions,
+            analyze_events,
+            analyze_trace,
+            render_text,
         )
-    else:
-        analysis = analyze_trace(args.trace_out, options=options)
-    print()
-    print(render_text(analysis))
+
+        options = AnalysisOptions()
+        if ring is not None:
+            analysis = analyze_events(
+                ring.events(), options=options, source="<in-memory trace>"
+            )
+        else:
+            analysis = analyze_trace(args.trace_out, options=options)
+        print()
+        print(render_text(analysis))
+
+
+def _export_metrics(args: argparse.Namespace, result) -> None:
+    """``--csv`` / ``--json`` exports of the metric series."""
+    from .metrics.export import to_csv, to_json
+
+    for path, export in ((args.csv, to_csv), (getattr(args, "json", None), to_json)):
+        if path:
+            export(result.metrics, path)
+            print(f"wrote {path}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
-    tracer = _make_tracer(args)
-    tracer, ring = _capture_for_analysis(args, tracer)
-    profiler = _make_profiler(args)
-    timeseries = _make_timeseries(args)
-    sanitizer = _make_sanitizer(args)
-    provenance = _make_provenance(args)
+    tracer, ring = _make_tracer(args)
+    observers = _make_observers(args)
     # The context manager guarantees the JSONL sink is flushed/closed on
     # every path — including an engine error mid-run, so a partial trace
     # stays analysable.
@@ -883,12 +897,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.policy,
             scenario,
             tracer=tracer,
-            profiler=profiler,
             invariants=_invariants(args),
-            timeseries=timeseries,
-            sanitizer=sanitizer,
-            provenance=provenance,
             engine=args.engine,
+            **observers,
         )
     chaos_tag = f" chaos={args.chaos}" if getattr(args, "chaos", None) else ""
     engine_tag = f" engine={args.engine}" if args.engine != "scalar" else ""
@@ -900,82 +911,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  {name:<18} {fmt.format(result.steady(name))}")
     print(f"  {'replication_cost':<18} {result.series('replication_cost').sum():.1f}")
     print(f"  {'migrations':<18} {result.series('migration_count').sum():.0f}")
-    if args.csv:
-        from .metrics.export import to_csv
-
-        to_csv(result.metrics, args.csv)
-        print(f"wrote {args.csv}")
-    if args.json:
-        from .metrics.export import to_json
-
-        to_json(result.metrics, args.json)
-        print(f"wrote {args.json}")
-    if getattr(args, "trace_out", None):
-        print(f"wrote {tracer.emitted} trace records to {args.trace_out}")
-    if timeseries is not None:
-        _save_timeseries(timeseries, args.timeseries_out)
-    if provenance is not None:
-        _save_provenance(provenance, args.provenance_out)
-    _report_sanitizer(sanitizer, getattr(args, "fingerprint_out", None))
-    _warn_dropped(tracer)
-    if profiler is not None:
-        print("\nphase timings:")
-        print(profiler.render_table())
-    if getattr(args, "analyze", False):
-        _run_analysis(args, ring)
+    _export_metrics(args, result)
+    _report_observers(args, observers)
+    _report_trace(args, tracer, ring)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
-    tracer = _make_tracer(args)
-    tracer, ring = _capture_for_analysis(args, tracer)
-    profile = getattr(args, "profile", False)
-    if profile:
-        from .obs.profiler import PhaseProfiler
+    tracer, ring = _make_tracer(args)
+    per_policy: dict[str, dict[str, Any]] = {}
 
-        profiler_factory = PhaseProfiler
-    else:
-        profiler_factory = None
-    ts_recorders: dict[str, object] = {}
-    if getattr(args, "timeseries_out", None):
+    def observers(policy: str) -> dict[str, Any]:
+        per_policy[policy] = _make_observers(args)
+        return per_policy[policy]
 
-        def timeseries_factory(policy: str):
-            recorder = _make_timeseries(args)
-            ts_recorders[policy] = recorder
-            return recorder
-
-    else:
-        timeseries_factory = None
-    sanitizers: dict[str, object] = {}
-    if getattr(args, "sanitize", False) or getattr(args, "fingerprint_out", None):
-
-        def sanitizer_factory(policy: str):
-            sanitizer = _make_sanitizer(args)
-            sanitizers[policy] = sanitizer
-            return sanitizer
-
-    else:
-        sanitizer_factory = None
-    prov_recorders: dict[str, object] = {}
-    if getattr(args, "provenance_out", None):
-
-        def provenance_factory(policy: str):
-            recorder = _make_provenance(args)
-            prov_recorders[policy] = recorder
-            return recorder
-
-    else:
-        provenance_factory = None
     with tracer if tracer is not None else contextlib.nullcontext():
         cmp = compare_policies(
             scenario,
             tracer=tracer,
-            profiler_factory=profiler_factory,
             invariants=_invariants(args),
-            timeseries_factory=timeseries_factory,
-            sanitizer_factory=sanitizer_factory,
-            provenance_factory=provenance_factory,
+            observers=observers,
             engine=args.engine,
         )
     header = f"{'policy':>9} | " + " ".join(f"{name:>16}" for name, _ in _HEADLINE)
@@ -989,25 +945,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
         print(f"{policy:>9} | {cells}")
     print("\nutilization ranking:", " > ".join(cmp.ranking("utilization")))
-    if getattr(args, "trace_out", None):
-        print(f"wrote {tracer.emitted} trace records to {args.trace_out}")
-    for policy, recorder in ts_recorders.items():
-        _save_timeseries(recorder, tagged_path(args.timeseries_out, policy))
-    for policy, recorder in prov_recorders.items():
-        _save_provenance(recorder, tagged_path(args.provenance_out, policy))
-    for policy, sanitizer in sanitizers.items():
-        fp_out = getattr(args, "fingerprint_out", None)
-        print(f"[{policy}] ", end="")
-        _report_sanitizer(
-            sanitizer, tagged_path(fp_out, policy) if fp_out else None
-        )
-    _warn_dropped(tracer)
-    if profile:
-        for policy in cmp.policies():
-            print(f"\nphase timings ({policy}):")
-            print(cmp[policy].simulation.profiler.render_table())
-    if getattr(args, "analyze", False):
-        _run_analysis(args, ring)
+    for policy, policy_observers in per_policy.items():
+        _report_observers(args, policy_observers, policy)
+    _report_trace(args, tracer, ring)
     return 0
 
 
@@ -1017,23 +957,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     scenario = dataclasses.replace(
         random_query_scenario(_config(args), epochs=args.epochs), chaos=schedule
     )
-    tracer = _make_tracer(args)
-    tracer, ring = _capture_for_analysis(args, tracer)
-    profiler = _make_profiler(args)
-    timeseries = _make_timeseries(args)
-    sanitizer = _make_sanitizer(args)
-    provenance = _make_provenance(args)
+    tracer, ring = _make_tracer(args)
+    observers = _make_observers(args)
     with tracer if tracer is not None else contextlib.nullcontext():
         result = run_experiment(
             args.policy,
             scenario,
             tracer=tracer,
-            profiler=profiler,
             invariants=True,
-            timeseries=timeseries,
-            sanitizer=sanitizer,
-            provenance=provenance,
             engine=args.engine,
+            **observers,
         )
     sim = result.simulation
     summary = sim.chaos.summary()
@@ -1054,24 +987,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"  {name:<18} {fmt.format(result.steady(name))}")
     print(f"  {'lost_partitions':<18} {result.series('lost_partitions').sum():.0f}")
     print(f"  {'unserved_total':<18} {result.series('unserved').sum():.1f}")
-    if args.csv:
-        from .metrics.export import to_csv
-
-        to_csv(result.metrics, args.csv)
-        print(f"wrote {args.csv}")
-    if getattr(args, "trace_out", None):
-        print(f"wrote {tracer.emitted} trace records to {args.trace_out}")
-    if timeseries is not None:
-        _save_timeseries(timeseries, args.timeseries_out)
-    if provenance is not None:
-        _save_provenance(provenance, args.provenance_out)
-    _report_sanitizer(sanitizer, getattr(args, "fingerprint_out", None))
-    _warn_dropped(tracer)
-    if profiler is not None:
-        print("\nphase timings:")
-        print(profiler.render_table())
-    if getattr(args, "analyze", False):
-        _run_analysis(args, ring)
+    _export_metrics(args, result)
+    _report_observers(args, observers)
+    _report_trace(args, tracer, ring)
     return 0
 
 
@@ -1123,39 +1041,37 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    path = pathlib.Path(args.trace)
-    if not path.exists():
-        print(f"no such trace file: {path}", file=sys.stderr)
-        return 2
+    from .artifact import write_text
 
+    path = pathlib.Path(args.trace)
+    if not path.is_file():
+        raise ConfigurationError(f"no such trace file: {path}")
     if args.format in ("text", "json"):
         from .obs.analysis import AnalysisOptions, analyze_trace, render_text
 
         analysis = analyze_trace(path, options=AnalysisOptions(window=args.window))
-        if not analysis.total_events:
-            print(f"{path} holds no readable trace events", file=sys.stderr)
-            return 1
+        events = analysis.total_events
         output = (
             render_text(analysis)
             if args.format == "text"
             else json.dumps(analysis.to_dict(), indent=1) + "\n"
         )
-    elif args.format == "chrome-trace":
-        from .obs.analysis import to_chrome_trace
+    else:
+        from .obs.analysis import registry_from_events, to_chrome_trace, to_prometheus
         from .obs.trace import read_jsonl
 
-        payload = to_chrome_trace(read_jsonl(path))
-        output = json.dumps(payload, separators=(",", ":")) + "\n"
-    else:  # prometheus
-        from .obs.analysis import registry_from_events, to_prometheus
-        from .obs.trace import read_jsonl
-
-        output = to_prometheus(registry_from_events(read_jsonl(path)))
+        trace = list(read_jsonl(path))
+        events = len(trace)
+        output = (
+            json.dumps(to_chrome_trace(trace), separators=(",", ":")) + "\n"
+            if args.format == "chrome-trace"
+            else to_prometheus(registry_from_events(trace))
+        )
+    if not events:
+        raise ConfigurationError(f"{path} holds no readable trace events")
 
     if args.out:
-        pathlib.Path(args.out).write_text(
-            output if output.endswith("\n") else output + "\n"
-        )
+        write_text(args.out, output if output.endswith("\n") else output + "\n")
         print(f"wrote {args.out}")
     else:
         print(output if not output.endswith("\n") else output[:-1])
@@ -1343,7 +1259,7 @@ def _sweep_manifest(args: argparse.Namespace):
     the file."""
     from .sweep import SweepManifest, SweepScale
 
-    overrides: dict[str, object] = {}
+    overrides: dict[str, Any] = {}
     if args.name is not None:
         overrides["name"] = args.name
     if args.policies is not None:

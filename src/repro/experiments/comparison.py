@@ -59,50 +59,31 @@ def compare_policies(
     policies: tuple[str, ...] = POLICIES,
     *,
     tracer=None,
-    profiler_factory=None,
     invariants=None,
-    timeseries_factory=None,
-    sanitizer_factory=None,
-    provenance_factory=None,
+    observers=None,
     engine: str = "scalar",
 ) -> ComparisonResult:
     """Run every policy on the scenario's shared trace.
 
     ``tracer`` is shared across runs (every record carries a ``policy``
-    field, so one JSONL file can hold all four algorithms);
-    ``profiler_factory`` is called once per policy because phase timings
-    must not mix runs.  ``timeseries_factory`` is likewise per-policy —
-    called with the policy name, it returns a fresh
-    :class:`~repro.obs.timeseries.TimeseriesRecorder` (or ``None``) so
-    each algorithm records its own ``.tsdb.json`` trajectory, and
-    ``sanitizer_factory`` (also called with the policy name) attaches a
-    fresh per-policy
-    :class:`~repro.staticcheck.sanitizer.DeterminismSanitizer`, and
-    ``provenance_factory`` a fresh per-policy
-    :class:`~repro.obs.provenance.ProvenanceRecorder` (one ``.prov.json``
-    decision ledger per algorithm).
-    Per-policy profilers, recorders and sanitizers stay reachable
-    through ``result[policy].simulation``.  ``engine`` selects the
-    epoch core for every run (see
-    :func:`~repro.experiments.runner.run_experiment`).
+    field, so one JSONL file can hold all four algorithms).
+    ``observers``, called once per policy with the policy name, returns
+    that run's observer keywords for
+    :func:`~repro.experiments.runner.run_experiment` (``profiler``,
+    ``timeseries``, ``sanitizer``, ``provenance``, ...): phase timings,
+    trajectories, fingerprint chains and decision ledgers must not mix
+    runs, so each policy gets fresh ones.  They stay reachable through
+    ``result[policy].simulation``.  ``engine`` selects the epoch core
+    for every run (see :func:`~repro.experiments.runner.run_experiment`).
     """
     results = {
         policy: run_experiment(
             policy,
             scenario,
             tracer=tracer,
-            profiler=profiler_factory() if profiler_factory is not None else None,
             invariants=invariants,
-            timeseries=(
-                timeseries_factory(policy) if timeseries_factory is not None else None
-            ),
-            sanitizer=(
-                sanitizer_factory(policy) if sanitizer_factory is not None else None
-            ),
-            provenance=(
-                provenance_factory(policy) if provenance_factory is not None else None
-            ),
             engine=engine,
+            **(observers(policy) if observers is not None else {}),
         )
         for policy in policies
     }

@@ -3,16 +3,18 @@
 Experiments end in a :class:`~repro.metrics.collector.MetricsCollector`;
 these helpers dump it for external analysis (spreadsheets, notebooks,
 plotting toolchains) with one row per epoch and one column per series,
-plus round-tripping JSON for archival.
+plus round-tripping JSON for archival.  Both writers are atomic (see
+:mod:`repro.artifact`).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import pathlib
 
-from ..artifact import read_json
+from ..artifact import read_json, write_text
 from ..errors import SimulationError
 from .collector import MetricsCollector
 
@@ -24,12 +26,13 @@ def to_csv(metrics: MetricsCollector, path: str | pathlib.Path) -> None:
     if metrics.num_epochs == 0:
         raise SimulationError("refusing to export an empty collector")
     names = metrics.names()
-    with open(pathlib.Path(path), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("epoch", *names))
-        columns = [metrics.series(name).values for name in names]
-        for epoch in range(metrics.num_epochs):
-            writer.writerow((epoch, *(column[epoch] for column in columns)))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(("epoch", *names))
+    columns = [metrics.series(name).values for name in names]
+    for epoch in range(metrics.num_epochs):
+        writer.writerow((epoch, *(column[epoch] for column in columns)))
+    write_text(path, buffer.getvalue())
 
 
 def from_csv(path: str | pathlib.Path) -> MetricsCollector:
@@ -64,7 +67,7 @@ def to_json(metrics: MetricsCollector, path: str | pathlib.Path) -> None:
     if metrics.num_epochs == 0:
         raise SimulationError("refusing to export an empty collector")
     payload = {"epochs": metrics.num_epochs, "series": metrics.as_dict()}
-    pathlib.Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
 def from_json(path: str | pathlib.Path) -> MetricsCollector:

@@ -19,7 +19,10 @@ reproduction's hot path is untouched unless a user asks to look inside:
   artifact, plus cross-run regression diffing (``repro diff``) and a
   self-contained offline HTML dashboard (``repro dashboard``).
 
-Wire them through :class:`repro.sim.engine.Simulation`::
+The tracer, the registry and the time-series recorder subscribe to the
+engine's one event stream (:class:`~repro.obs.trace.TraceEvent`, see
+:class:`~repro.obs.trace.EventSubscriber`); the profiler is a direct
+hot-path timer.  Wire them through :class:`repro.sim.engine.Simulation`::
 
     sim = Simulation(config, tracer=RingBufferTracer(10_000),
                      profiler=PhaseProfiler(),
@@ -36,8 +39,8 @@ from .profiler import ENGINE_PHASES, NullProfiler, PhaseProfiler, PhaseStats
 from .registry import Counter, Gauge, Histogram, InstrumentRegistry
 from .timeseries import TimeseriesRecorder, TsdbArtifact
 from .trace import (
+    EventSubscriber,
     JsonlTracer,
-    NullTracer,
     RingBufferTracer,
     TraceEvent,
     Tracer,
@@ -48,12 +51,12 @@ from .trace import (
 __all__ = [
     "ENGINE_PHASES",
     "Counter",
+    "EventSubscriber",
     "Gauge",
     "Histogram",
     "InstrumentRegistry",
     "JsonlTracer",
     "NullProfiler",
-    "NullTracer",
     "PhaseProfiler",
     "PhaseStats",
     "RingBufferTracer",

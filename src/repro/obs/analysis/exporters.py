@@ -179,6 +179,8 @@ _HELP: dict[str, str] = {
     "actions_total": "Applied replication actions by kind, rule and policy.",
     "actions_skipped_total": "Actions refused by an engine gate, by gate.",
     "membership_events_total": "Server failures, recoveries and joins.",
+    "wan_link_events_total": "WAN link cuts and heals.",
+    "invariant_violations_total": "Conservation invariant violations, by invariant.",
     "partitions_restored_total": "Cold restores of partitions that lost every copy.",
     "sla_miss_total": "Queries served above the latency bound.",
     "trace_events_total": "Trace records consumed, by kind.",
@@ -267,42 +269,14 @@ def registry_from_events(events: Iterable[TraceEvent]) -> InstrumentRegistry:
     """Rebuild the engine's counter families from a raw event stream, so
     a JSONL trace on disk can be exported without re-running anything.
 
-    The reconstruction covers everything derivable from the trace:
-    action/skip/membership/restore/SLA counters plus the
-    ``replica_lifetime_epochs`` histogram re-stitched via lineage.
-    Gauges (instantaneous fleet state) are not recoverable from events
-    and are omitted.
+    Every event goes through :meth:`InstrumentRegistry.on_event`, the
+    mapping a live engine's registry subscribes with, plus one
+    offline-only ``trace_events_total{kind}`` count.  Gauges
+    (instantaneous fleet state) are not recoverable from events and are
+    omitted.
     """
-    from .lineage import build_lineage
-
     registry = InstrumentRegistry()
-    per_policy: dict[str, list[TraceEvent]] = {}
     for event in events:
-        policy = event.policy or "unknown"
-        per_policy.setdefault(policy, []).append(event)
         registry.counter("trace_events_total", kind=event.kind).inc()
-        if event.kind in ("replicate", "migrate", "suicide"):
-            registry.counter(
-                "actions_total", kind=event.kind, reason=event.reason, policy=policy
-            ).inc()
-        elif event.kind == "action_skipped":
-            registry.counter(
-                "actions_skipped_total",
-                kind=str(event.extra.get("action", "unknown")),
-                cause=str(event.extra.get("cause", "unknown")),
-            ).inc()
-        elif event.kind in ("server_failure", "server_recovery", "server_join"):
-            registry.counter("membership_events_total", kind=event.kind).inc()
-        elif event.kind == "partition_restore":
-            registry.counter("partitions_restored_total").inc()
-        elif event.kind == "sla_violation":
-            count = event.extra.get("count", 1.0)
-            registry.counter("sla_miss_total", policy=policy).inc(
-                float(count if isinstance(count, (int, float)) else 1.0)
-            )
-    for policy, stream in per_policy.items():
-        lineage = build_lineage(stream)
-        histogram = registry.histogram("replica_lifetime_epochs", policy=policy)
-        for lifetime in lineage.stay_lifetimes():
-            histogram.observe(float(lifetime))
+        registry.on_event(event)
     return registry

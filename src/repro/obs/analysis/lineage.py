@@ -10,10 +10,11 @@ those: every copy's chain of **stays** (a residence on one server),
 linked across migrations into a **lifecycle**, annotated with birth and
 death causes.
 
-Stitching rules mirror the engine's own birth/death bookkeeping
-(``Simulation._replica_birth``) one-to-one, which is what makes the
-round-trip test possible: the multiset of closed-stay durations
-reconstructed here equals the engine-side ``replica_lifetime_epochs``
+Stitching rules mirror the birth/death bookkeeping that
+:meth:`~repro.obs.registry.InstrumentRegistry.on_event` keeps for the
+``replica_lifetime_epochs`` histogram, but are implemented
+independently, which is what makes the round-trip test meaningful: the
+multiset of closed-stay durations reconstructed here equals that
 histogram exactly.
 """
 

@@ -8,7 +8,6 @@ about it (``repro explain``, ``repro provdiff``).
 """
 
 from .artifact import PROV_FORMAT, PROV_VERSION, ProvArtifact
-from .crosscheck import crosscheck_trace
 from .explain import render_explanation
 from .provdiff import Divergence, ProvDiffReport, diff_provenance
 from .recorder import DEFAULT_BUDGET, ProvenanceRecorder
@@ -23,7 +22,6 @@ __all__ = [
     "PROV_FORMAT",
     "PROV_VERSION",
     "ProvArtifact",
-    "crosscheck_trace",
     "render_explanation",
     "Divergence",
     "ProvDiffReport",

@@ -2,12 +2,13 @@
 
 The recorder is attached to a policy's decision tree (the RFH tree
 opens a :class:`~repro.obs.provenance.records.DecisionDraft` per
-partition per epoch and closes it with the emitted actions) and to the
-engine's apply phase (:meth:`ProvenanceRecorder.note_fate` stamps each
-action's applied/skipped fate back onto its decision record).  Baseline
+partition per epoch and closes it with the emitted actions) and
+subscribes to the engine's applied-action and ``action_skipped``
+events (:meth:`ProvenanceRecorder.on_event` stamps each action's
+applied/skipped fate back onto its decision record).  Baseline
 policies that never open drafts still get minimal synthesized records
-per applied/skipped action, so the lineage guarantee — every trace
-action has a provenance record — holds for every policy.
+per applied/skipped action, so the lineage guarantee — every applied
+or skipped action has a provenance record — holds for every policy.
 
 Budget: the ledger keeps at most ``budget`` records.  When the cap is
 exceeded the *oldest no-op* records (``action == "none"`` and
@@ -19,10 +20,13 @@ action are never dropped.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .artifact import ProvArtifact
 from .records import DecisionDraft, DecisionRecord
+
+if TYPE_CHECKING:
+    from ..trace import TraceEvent
 
 __all__ = ["DEFAULT_BUDGET", "ProvenanceRecorder"]
 
@@ -43,6 +47,9 @@ def _action_fields(action: object) -> tuple[str, str, int, int]:
 
 class ProvenanceRecorder:
     """Accumulates :class:`DecisionRecord` rows across a run."""
+
+    #: Engine event kinds that carry an action's fate.
+    subscribes: tuple[str, ...] = ("replicate", "migrate", "suicide", "action_skipped")
 
     def __init__(self, budget: int = DEFAULT_BUDGET) -> None:
         if budget < 1:
@@ -127,25 +134,26 @@ class ProvenanceRecorder:
         self._compact()
 
     # ------------------------------------------------------------------
-    # Apply-phase API (called by the engine)
+    # Apply-phase events (delivered by the engine)
     # ------------------------------------------------------------------
-    def note_fate(
-        self,
-        epoch: int,
-        kind: str,
-        action: object,
-        fate: str,
-        cause: str = "",
-        target_dc: int = -1,
-    ) -> None:
-        """Stamp an action's applied/skipped fate onto its record.
+    def on_event(self, event: TraceEvent) -> None:
+        """Stamp an applied or skipped action's fate onto its record.
 
         Matches the oldest pending record for ``(partition, kind)``; if
         none exists (a policy that does not open drafts) a minimal
-        record is synthesized so the ledger still mirrors the trace.
+        record is synthesized from the event so the ledger still
+        mirrors the engine's actions.
         """
+        epoch = event.epoch
         self._roll_epoch(epoch)
-        partition = int(getattr(action, "partition", -1))
+        extra: dict[str, Any] = event.extra
+        if event.kind == "action_skipped":
+            kind = str(extra["action"])
+            fate, cause, target_dc = "skipped", str(extra["cause"]), -1
+        else:
+            kind = event.kind
+            fate, cause, target_dc = "applied", "", int(extra["dc"])
+        partition = -1 if event.partition is None else event.partition
         queue = self._pending.get((partition, kind))
         if queue:
             record = self._records[queue.pop(0)]
@@ -154,19 +162,18 @@ class ProvenanceRecorder:
             record.fate = fate
             record.fate_cause = cause
             if target_dc >= 0:
-                record.target_dc = int(target_dc)
+                record.target_dc = target_dc
             return
-        kind2, reason, target_sid, source_sid = _action_fields(action)
         self._records.append(
             DecisionRecord(
                 epoch=int(epoch),
                 partition=partition,
                 branch="",
-                action=kind2,
-                reason=reason,
-                target_sid=target_sid,
-                target_dc=int(target_dc),
-                source_sid=source_sid,
+                action=kind,
+                reason=event.reason,
+                target_sid=-1 if event.server is None else event.server,
+                target_dc=target_dc,
+                source_sid=int(extra.get("source", -1)),
                 fate=fate,
                 fate_cause=cause,
             )

@@ -13,6 +13,13 @@ returns the same object, and differing label values create distinct
 children under one family.  ``snapshot()`` renders everything to plain
 JSON-able dicts; ``reset()`` zeroes state for test isolation.
 
+Attached to an engine, a registry subscribes to its event stream and
+:meth:`InstrumentRegistry.on_event` maps each event onto the counter
+families and the ``replica_lifetime_epochs`` histogram.  The same
+method rebuilds a registry from a trace on disk
+(:func:`~repro.obs.analysis.registry_from_events`), so the live and the
+offline counters cannot disagree.
+
 Histograms keep every sample by default (exact quantiles; the engine
 only feeds low-rate signals such as replica deaths).  For high-rate
 instruments, construct the registry with ``histogram_reservoir=N``:
@@ -30,6 +37,10 @@ import pathlib
 import random
 import zlib
 from collections.abc import Iterator
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .trace import TraceEvent
 
 __all__ = ["Counter", "Gauge", "Histogram", "InstrumentRegistry"]
 
@@ -165,6 +176,25 @@ class InstrumentRegistry:
     is reproducible and independent of creation order.
     """
 
+    #: Engine event kinds a live registry subscribes to.  Not
+    #: ``sla_violation``: the engine counts every epoch's misses into
+    #: ``sla_miss_total`` itself, as end-of-epoch state, so only an
+    #: offline rebuild maps that kind.
+    subscribes: tuple[str, ...] = (
+        "replica_bootstrap",
+        "server_failure",
+        "server_recovery",
+        "server_join",
+        "partition_restore",
+        "replicate",
+        "migrate",
+        "suicide",
+        "action_skipped",
+        "link_failure",
+        "link_recovery",
+        "invariant_violation",
+    )
+
     def __init__(
         self, *, histogram_reservoir: int | None = None, seed: int = 0
     ) -> None:
@@ -177,6 +207,8 @@ class InstrumentRegistry:
         self._histograms: dict[str, dict[LabelKey, Histogram]] = {}
         self._histogram_reservoir = histogram_reservoir
         self._seed = seed
+        # Birth epoch of every live copy, keyed (policy, partition, server).
+        self._births: dict[tuple[str, int | None, int | None], int] = {}
 
     # -- get-or-create accessors ---------------------------------------
     def counter(self, name: str, **labels: str) -> Counter:
@@ -207,6 +239,64 @@ class InstrumentRegistry:
                 seed=self._seed ^ zlib.crc32(identity.encode()),
             )
         return inst
+
+    # -- engine events -------------------------------------------------
+    def on_event(self, event: TraceEvent) -> None:
+        """Count one engine event: the one event → instrument mapping.
+
+        A copy's birth (bootstrap, restore, replication, migration
+        target) is remembered; its death (migration source, suicide,
+        failed server) observes the lifetime into
+        ``replica_lifetime_epochs``.
+        """
+        kind, epoch, partition = event.kind, event.epoch, event.partition
+        policy = event.policy or "unknown"
+        extra: dict[str, Any] = event.extra
+        if kind in ("replicate", "migrate", "suicide"):
+            self.counter(
+                "actions_total", kind=kind, reason=event.reason, policy=policy
+            ).inc()
+            if kind != "replicate":  # the copy that left
+                gone = event.server if kind == "suicide" else extra.get("source")
+                self._death(policy, partition, gone, epoch)
+            if kind != "suicide":
+                self._births[(policy, partition, event.server)] = epoch
+        elif kind in ("replica_bootstrap", "partition_restore"):
+            if kind == "partition_restore":
+                self.counter("partitions_restored_total").inc()
+            self._births[(policy, partition, event.server)] = epoch
+        elif kind in ("server_failure", "server_recovery", "server_join"):
+            self.counter("membership_events_total", kind=kind).inc()
+            if kind == "server_failure":
+                # Created even when the server held no copy, so a failure
+                # always shows up in the snapshot.
+                self.histogram("replica_lifetime_epochs", policy=policy)
+                for lost in extra.get("partitions", ()):
+                    self._death(policy, lost, event.server, epoch)
+        elif kind == "action_skipped":
+            self.counter(
+                "actions_skipped_total",
+                kind=str(extra.get("action", "unknown")),
+                cause=str(extra.get("cause", "unknown")),
+            ).inc()
+        elif kind in ("link_failure", "link_recovery"):
+            self.counter("wan_link_events_total", kind=kind).inc()
+        elif kind == "invariant_violation":
+            self.counter("invariant_violations_total", invariant=event.reason).inc()
+        elif kind == "sla_violation":
+            count = extra.get("count", 1.0)
+            self.counter("sla_miss_total", policy=policy).inc(
+                float(count if isinstance(count, (int, float)) else 1.0)
+            )
+
+    def _death(
+        self, policy: str, partition: int | None, server: int | None, epoch: int
+    ) -> None:
+        born = self._births.pop((policy, partition, server), None)
+        if born is not None:
+            self.histogram("replica_lifetime_epochs", policy=policy).observe(
+                float(epoch - born)
+            )
 
     # -- export --------------------------------------------------------
     def iter_scalars(self) -> Iterator[tuple[str, str, dict[str, str], float]]:
@@ -246,3 +336,4 @@ class InstrumentRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._births.clear()

@@ -14,6 +14,11 @@ keeps memory bounded by two mechanisms:
   any length costs at most ``budget`` points per column while every
   stored point remains the exact mean of the epochs it covers.
 
+Attached to an engine, the recorder also subscribes to its event
+stream: membership, WAN-link and restore events become markers, and
+applied actions are counted per policy reason into the next sample's
+``decision/<reason>`` columns.
+
 Downsampling is streaming and deterministic: incoming rows accumulate
 in a pending bucket of ``decimation`` samples that is flushed as its
 mean, so recorder state never depends on when you look at it.  Column
@@ -24,16 +29,23 @@ earlier points are backfilled with zero, matching counter semantics.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ...errors import TsdbError
 from .artifact import Marker, TsdbArtifact
 
+if TYPE_CHECKING:
+    from ..trace import TraceEvent
+
 __all__ = ["TimeseriesRecorder"]
 
 #: Markers kept before the recorder starts dropping (and counting) them.
 MARKER_BUDGET = 4096
+
+#: Applied-action event kinds, counted into ``decision/<reason>`` columns.
+_ACTION_KINDS = ("replicate", "migrate", "suicide")
 
 
 class TimeseriesRecorder:
@@ -51,6 +63,17 @@ class TimeseriesRecorder:
         scenario, seed...).  :func:`repro.experiments.runner.run_experiment`
         fills the standard keys in when they are absent.
     """
+
+    #: Engine event kinds the recorder takes (see :meth:`on_event`).
+    subscribes: tuple[str, ...] = (
+        "server_failure",
+        "server_recovery",
+        "server_join",
+        "link_failure",
+        "link_recovery",
+        "partition_restore",
+        *_ACTION_KINDS,
+    )
 
     def __init__(
         self,
@@ -77,6 +100,8 @@ class TimeseriesRecorder:
         self._markers: list[Marker] = []
         self.markers_dropped = 0
         self.samples_seen = 0
+        # Applied actions per policy reason since the last sample.
+        self._decisions: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -95,11 +120,15 @@ class TimeseriesRecorder:
     def sample(self, epoch: int, row: dict[str, float]) -> None:
         """Record one epoch's flat ``{column: value}`` row.
 
-        Epochs not on the stride grid are ignored.  Non-finite values
+        The row gains the epoch's ``decision/<reason>`` counts.  Epochs
+        not on the stride grid are ignored.  Non-finite values
         contribute zero, so one bad sample cannot poison a downsampled
         mean.
         """
         self.samples_seen += 1
+        for reason, count in self._decisions.items():
+            row[f"decision/{reason}"] = count
+        self._decisions = {}
         if epoch % self.stride != 0:
             return
         if self._pending_epoch is None:
@@ -151,8 +180,16 @@ class TimeseriesRecorder:
         self._decimation = old * 2
 
     # ------------------------------------------------------------------
-    # Markers
+    # Engine events and markers
     # ------------------------------------------------------------------
+    def on_event(self, event: TraceEvent) -> None:
+        """Count an applied action by reason, or mark any other event."""
+        if event.kind in _ACTION_KINDS:
+            reason = event.reason or "unspecified"
+            self._decisions[reason] = self._decisions.get(reason, 0.0) + 1.0
+        else:
+            self.mark(event.epoch, event.kind, event.reason)
+
     def mark(self, epoch: int, kind: str, label: str = "") -> None:
         """Annotate ``epoch`` with an event marker.
 

@@ -7,15 +7,19 @@ per-event replica creation/loss histories, not per-epoch sums — so the
 engine emits one :class:`TraceEvent` per membership change, restore,
 applied or skipped action, and SLA violation.
 
-Two real sinks plus a null object:
+The event is also the engine's one observer interface: every
+:class:`EventSubscriber` (a tracer, the instrument registry, the
+time-series recorder, the provenance ledger) names the kinds it takes,
+and the engine delivers each event to exactly those subscribers.  A
+kind nobody subscribed to is never constructed.
+
+Two sinks subscribe to every kind:
 
 * :class:`RingBufferTracer` keeps the last ``capacity`` events in memory
   (a :class:`collections.deque`), counting what it dropped — safe on
   arbitrarily long runs;
 * :class:`JsonlTracer` streams every event to a JSON-Lines file, one
-  object per line, for archival / ``jq`` analysis;
-* :class:`NullTracer` is the engine default: ``enabled`` is ``False``
-  and the hot path pays exactly one attribute check per emission site.
+  object per line, for archival / ``jq`` analysis.
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ import warnings
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import Protocol
 
 __all__ = [
     "TRACE_KINDS",
+    "EventSubscriber",
     "TraceEvent",
     "TraceReadWarning",
     "Tracer",
-    "NullTracer",
     "RingBufferTracer",
     "JsonlTracer",
     "read_jsonl",
@@ -121,18 +126,25 @@ class TraceEvent:
         )
 
 
+class EventSubscriber(Protocol):
+    """An engine observer: takes the events whose kind it subscribes to."""
+
+    #: Event kinds this subscriber takes (a subset of :data:`TRACE_KINDS`).
+    subscribes: tuple[str, ...]
+
+    def on_event(self, event: TraceEvent) -> None: ...
+
+
 class Tracer:
-    """Base sink: subclasses override :meth:`emit`.
+    """Base sink: subclasses override :meth:`emit`; subscribes to every kind."""
 
-    ``enabled`` is what the engine checks before building an event, so a
-    disabled tracer costs one attribute load per site — the event object
-    is never constructed.
-    """
-
-    enabled: bool = True
+    subscribes: tuple[str, ...] = TRACE_KINDS
 
     def emit(self, event: TraceEvent) -> None:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def on_event(self, event: TraceEvent) -> None:
+        self.emit(event)
 
     def close(self) -> None:
         """Flush/release resources; safe to call twice."""
@@ -142,15 +154,6 @@ class Tracer:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-class NullTracer(Tracer):
-    """The default: tracing off, one attribute check on the hot path."""
-
-    enabled = False
-
-    def emit(self, event: TraceEvent) -> None:  # pragma: no cover - never called
-        pass
 
 
 class RingBufferTracer(Tracer):

@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (chaos imports sim.events)
     from ..metrics.availability_metric import AvailabilitySummary
     from ..obs.perf.counters import WorkCounters
     from ..obs.provenance.recorder import ProvenanceRecorder
+    from ..obs.registry import InstrumentRegistry
     from ..obs.timeseries import TimeseriesRecorder
     from ..staticcheck.sanitizer import DeterminismSanitizer
     from ..workload.query import QueryBatch
@@ -61,8 +62,7 @@ from ..net.coordinates import INTRA_DATACENTER_KM
 from ..net.graph import WanGraph
 from ..net.routing import Router
 from ..obs.profiler import NullProfiler, PhaseProfiler
-from ..obs.registry import InstrumentRegistry
-from ..obs.trace import NullTracer, TraceEvent, Tracer
+from ..obs.trace import EventSubscriber, TraceEvent, Tracer
 from ..ring.hashring import HashRing
 from ..ring.partition import PartitionMapper
 from ..workload.generator import QueryGenerator
@@ -107,6 +107,18 @@ WorkloadSource = object
 PolicySpec = str | ReplicationPolicy | Callable[["Simulation"], ReplicationPolicy]
 
 
+def _subscription_table(
+    observers: Iterable[EventSubscriber | None],
+) -> dict[str, tuple[Callable[[TraceEvent], None], ...]]:
+    """Event kind -> the ``on_event`` callbacks of its subscribers."""
+    table: dict[str, list[Callable[[TraceEvent], None]]] = {}
+    for observer in observers:
+        if observer is not None:
+            for kind in observer.subscribes:
+                table.setdefault(kind, []).append(observer.on_event)
+    return {kind: tuple(callbacks) for kind, callbacks in table.items()}
+
+
 class Simulation:
     """A complete, reproducible simulation run.
 
@@ -128,18 +140,18 @@ class Simulation:
     hierarchy / wan:
         Topology overrides (defaults: the paper's 10-site deployment).
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer`; every membership
-        event, restore, applied/skipped action and SLA violation emits
-        one typed record.  Defaults to a :class:`NullTracer` whose cost
-        is one attribute check per emission site.
+        Optional :class:`~repro.obs.trace.Tracer`; subscribes to every
+        event kind, so every membership event, restore, applied/skipped
+        action and SLA violation reaches it as one typed record.
     profiler:
         Optional :class:`~repro.obs.profiler.PhaseProfiler` timing the
         six phases of :meth:`step`.  Defaults to a no-op.
     instruments:
-        Optional :class:`~repro.obs.registry.InstrumentRegistry`; when
-        given, the engine maintains labelled counters
-        (``actions_total{kind=..., reason=..., policy=...}``), gauges
-        and the ``replica_lifetime_epochs`` histogram.
+        Optional :class:`~repro.obs.registry.InstrumentRegistry`; it
+        subscribes to the event stream for its labelled counters
+        (``actions_total{kind=..., reason=..., policy=...}``) and the
+        ``replica_lifetime_epochs`` histogram, and the engine sets its
+        gauges and ``sla_miss_total`` at the end of every epoch.
     chaos:
         Optional :class:`~repro.chaos.schedule.ChaosSchedule`; compiled
         against this simulation's cluster at construction (victims drawn
@@ -157,7 +169,8 @@ class Simulation:
         once per epoch the engine feeds it the epoch's metric values,
         per-datacenter traffic, every instrument counter/gauge (when
         ``instruments`` is attached) and phase timings (when a real
-        profiler is attached), plus membership/chaos event markers.
+        profiler is attached).  It subscribes to the event stream for
+        membership/chaos markers and per-reason decision counts.
     sanitizer:
         Optional :class:`~repro.staticcheck.sanitizer.DeterminismSanitizer`;
         once per epoch (end of the record phase) the engine feeds it the
@@ -173,6 +186,17 @@ class Simulation:
         stream).  Per-epoch deltas are recorded into the timeseries as
         ``work/*`` columns.  Counters are deterministic: two same-seed
         runs produce identical values.
+    provenance:
+        Optional :class:`~repro.obs.provenance.ProvenanceRecorder`; the
+        policy's decision tree records every threshold predicate, and
+        the recorder subscribes to the applied/skipped action events to
+        stamp each decision's fate.
+
+    Tracer, instruments, timeseries and provenance are
+    :class:`~repro.obs.trace.EventSubscriber` objects: each event is
+    built once and delivered to the subscribers of its kind, and a kind
+    with no subscriber is never built.  Profiler, work counters,
+    sanitizer and invariant checker are called directly.
     """
 
     #: Engine tag stamped into experiment metadata and benchmark records
@@ -201,15 +225,16 @@ class Simulation:
         provenance: ProvenanceRecorder | None = None,
     ) -> None:
         self.config = config
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
+        self.tracer = tracer
         self.profiler = profiler if profiler is not None else NullProfiler()
         self.instruments = instruments
         self.timeseries = timeseries
         self.sanitizer = sanitizer
-        #: Decision-provenance ledger (``repro.obs.provenance``); when
-        #: attached, the policy's decision tree records every threshold
-        #: predicate and the apply phase stamps each action's fate.
-        self.provenance = provenance
+        #: Event kind -> the subscribers it is delivered to (see the
+        #: class docstring); a kind missing here is never constructed.
+        self._subscribers = _subscription_table(
+            (tracer, instruments, timeseries, provenance)
+        )
         #: Hardware-independent work counters (``repro.obs.perf``); when
         #: attached, the hot paths bump cheap integer counters and the
         #: per-epoch deltas ride into the timeseries as ``work/*`` columns.
@@ -297,41 +322,28 @@ class Simulation:
             attach(profiler=self.profiler, work=work)
         # Provenance hand-off (same duck-typed pattern): policies without
         # an instrumented decision tree still get ledger coverage through
-        # the apply phase's fate notes (synthesized minimal records).
+        # the action events (synthesized minimal records).
         if provenance is not None:
             attach_prov = getattr(self.policy, "attach_provenance", None)
             if attach_prov is not None:
                 attach_prov(provenance)
-        # Birth epochs of live copies, feeding the replica-lifetime
-        # histogram; only maintained when instruments are attached.
-        self._replica_birth: dict[tuple[int, int], int] = {}
-        if self.instruments is not None:
-            for partition in range(self.replicas.num_partitions):
-                for sid, _count in self.replicas.servers_with(partition):
-                    self._replica_birth[(partition, sid)] = 0
         # Bootstrap placements are engine-internal (no action produced
-        # them), so lineage reconstruction from a trace alone needs them
-        # emitted explicitly — one record per original copy.
-        if self.tracer.enabled:
+        # them), so lifetimes and lineage need them emitted explicitly —
+        # one event per original copy.
+        if "replica_bootstrap" in self._subscribers:
             for partition in range(self.replicas.num_partitions):
                 for sid, _count in self.replicas.servers_with(partition):
-                    self.tracer.emit(
-                        TraceEvent(
-                            epoch=self.clock.epoch,
-                            kind="replica_bootstrap",
-                            server=sid,
-                            partition=partition,
-                            reason=BOOTSTRAP,
-                            policy=self.policy_name,
-                            extra={"dc": self.cluster.dc_of(sid)},
-                        )
+                    self._emit(
+                        "replica_bootstrap",
+                        self.clock.epoch,
+                        server=sid,
+                        partition=partition,
+                        reason=BOOTSTRAP,
+                        dc=self.cluster.dc_of(sid),
                     )
         # High-water mark of the tracer's drop counter already exported
         # to the trace_events_dropped_total instrument.
         self._dropped_exported = 0.0
-        # Applied-action counts by policy reason for the last epoch,
-        # exported as ``decision/<reason>`` time-series columns.
-        self._decision_counts: dict[str, float] = {}
         self.last_result: ServiceResult | None = None
         # Optional consistency extension (the paper's future work; off by
         # default so every reproduced figure is unaffected).
@@ -344,6 +356,36 @@ class Simulation:
                 config.rfh.failure_rate,
                 config.cluster.replication_bandwidth_mb,
             )
+
+    # ------------------------------------------------------------------
+    # The event stream
+    # ------------------------------------------------------------------
+    def _emit(
+        self,
+        kind: str,
+        epoch: int,
+        *,
+        server: int | None = None,
+        partition: int | None = None,
+        reason: str = "",
+        cost: float = 0.0,
+        **extra: object,
+    ) -> None:
+        """Build one event and deliver it to the subscribers of ``kind``."""
+        subscribers = self._subscribers.get(kind)
+        if subscribers:
+            event = TraceEvent(
+                epoch=epoch,
+                kind=kind,
+                server=server,
+                partition=partition,
+                reason=reason,
+                cost=cost,
+                policy=self.policy_name,
+                extra=extra,
+            )
+            for deliver in subscribers:
+                deliver(event)
 
     # ------------------------------------------------------------------
     # Invariant resolution
@@ -458,18 +500,13 @@ class Simulation:
             applied = self._apply_actions(actions, epoch)
 
         with profiler.phase("record"):
-            if self.tracer.enabled and result.sla_miss > 0:
-                self.tracer.emit(
-                    TraceEvent(
-                        epoch=epoch,
-                        kind="sla_violation",
-                        reason=LATENCY_BOUND_EXCEEDED,
-                        policy=self.policy_name,
-                        extra={
-                            "count": float(result.sla_miss),
-                            "queries": float(batch.total),
-                        },
-                    )
+            if result.sla_miss > 0:
+                self._emit(
+                    "sla_violation",
+                    epoch,
+                    reason=LATENCY_BOUND_EXCEEDED,
+                    count=float(result.sla_miss),
+                    queries=float(batch.total),
                 )
             if self.instruments is not None:
                 self.instruments.counter(
@@ -535,8 +572,6 @@ class Simulation:
         if self.work is not None:
             for name, count in self.work.epoch_deltas().items():
                 row[f"work/{name}"] = float(count)
-        for reason, count in self._decision_counts.items():
-            row[f"decision/{reason}"] = count
         self.timeseries.sample(epoch, row)
 
     def _check_invariants(self, epoch: int) -> None:
@@ -545,22 +580,14 @@ class Simulation:
             return
         violations = self.invariants.collect(epoch, self.cluster, self.replicas)
         for violation in violations:
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    TraceEvent(
-                        epoch=epoch,
-                        kind="invariant_violation",
-                        server=violation.server,
-                        partition=violation.partition,
-                        reason=violation.invariant,
-                        policy=self.policy_name,
-                        extra={"detail": violation.detail},
-                    )
-                )
-            if self.instruments is not None:
-                self.instruments.counter(
-                    "invariant_violations_total", invariant=violation.invariant
-                ).inc()
+            self._emit(
+                "invariant_violation",
+                epoch,
+                server=violation.server,
+                partition=violation.partition,
+                reason=violation.invariant,
+                detail=violation.detail,
+            )
         if violations and self.invariants.strict:
             raise violations[0]
 
@@ -583,19 +610,19 @@ class Simulation:
                 for sid in sids:
                     self.cluster.recover_server(sid)
                     self.ring.add_server(sid)
-                    self._trace_membership(
-                        epoch,
+                    self._emit(
                         "server_recovery",
-                        sid,
-                        RECOVERY,
+                        epoch,
+                        server=sid,
+                        reason=RECOVERY,
                         dc=self.cluster.dc_of(sid),
                     )
             elif isinstance(event, ServerJoinEvent):
                 for _ in range(event.count):
                     server = self.cluster.join_server(event.dc)
                     self.ring.add_server(server.sid)
-                    self._trace_membership(
-                        epoch, "server_join", server.sid, JOIN, dc=event.dc
+                    self._emit(
+                        "server_join", epoch, server=server.sid, reason=JOIN, dc=event.dc
                     )
             elif isinstance(event, ChaosFailureEvent):
                 # Chaos injections may overlap (flapping over a rolling
@@ -610,11 +637,11 @@ class Simulation:
                         continue
                     self.cluster.recover_server(sid)
                     self.ring.add_server(sid)
-                    self._trace_membership(
-                        epoch,
+                    self._emit(
                         "server_recovery",
-                        sid,
-                        event.cause,
+                        epoch,
+                        server=sid,
+                        reason=event.cause,
                         dc=self.cluster.dc_of(sid),
                     )
             elif isinstance(event, LinkFailureEvent):
@@ -651,39 +678,7 @@ class Simulation:
             self.router = self._base_router
         kind = "link_failure" if down else "link_recovery"
         for u, v in changed:
-            if self.timeseries is not None:
-                self.timeseries.mark(epoch, kind, cause)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    TraceEvent(
-                        epoch=epoch,
-                        kind=kind,
-                        reason=cause,
-                        policy=self.policy_name,
-                        extra={"u": u, "v": v},
-                    )
-                )
-            if self.instruments is not None:
-                self.instruments.counter("wan_link_events_total", kind=kind).inc()
-
-    def _trace_membership(
-        self, epoch: int, kind: str, sid: int, reason: str, **extra: object
-    ) -> None:
-        if self.timeseries is not None:
-            self.timeseries.mark(epoch, kind, reason)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                TraceEvent(
-                    epoch=epoch,
-                    kind=kind,
-                    server=sid,
-                    reason=reason,
-                    policy=self.policy_name,
-                    extra=dict(extra),
-                )
-            )
-        if self.instruments is not None:
-            self.instruments.counter("membership_events_total", kind=kind).inc()
+            self._emit(kind, epoch, reason=cause, u=u, v=v)
 
     def _fail(self, sids: Iterable[int], epoch: int, cause: str) -> None:
         for sid in sids:
@@ -691,24 +686,16 @@ class Simulation:
             dropped = self.replicas.drop_server(sid)
             self.ring.remove_server(sid)
             # ``partitions`` names every copy that died with the server,
-            # so trace consumers can close the right replica lifecycles.
-            self._trace_membership(
-                epoch,
+            # so subscribers can close the right replica lifecycles.
+            self._emit(
                 "server_failure",
-                sid,
-                cause,
+                epoch,
+                server=sid,
+                reason=cause,
                 replicas_lost=len(dropped),
                 partitions=list(dropped),
                 dc=self.cluster.dc_of(sid),
             )
-            if self.instruments is not None:
-                lifetimes = self.instruments.histogram(
-                    "replica_lifetime_epochs", policy=self.policy_name
-                )
-                for partition in dropped:
-                    born = self._replica_birth.pop((partition, sid), None)
-                    if born is not None:
-                        lifetimes.observe(float(epoch - born))
 
     def _restore_lost_partitions(self, epoch: int) -> int:
         """Re-create partitions that lost every copy at their current ring
@@ -723,23 +710,14 @@ class Simulation:
                 self.work.ring_lookups += 1
             self.replicas.restore(partition, owner)
             restored += 1
-            if self.timeseries is not None:
-                self.timeseries.mark(epoch, "partition_restore", ALL_COPIES_LOST)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    TraceEvent(
-                        epoch=epoch,
-                        kind="partition_restore",
-                        server=owner,
-                        partition=partition,
-                        reason=ALL_COPIES_LOST,
-                        policy=self.policy_name,
-                        extra={"dc": self.cluster.dc_of(owner)},
-                    )
-                )
-            if self.instruments is not None:
-                self.instruments.counter("partitions_restored_total").inc()
-                self._replica_birth[(partition, owner)] = epoch
+            self._emit(
+                "partition_restore",
+                epoch,
+                server=owner,
+                partition=partition,
+                reason=ALL_COPIES_LOST,
+                dc=self.cluster.dc_of(owner),
+            )
         return restored
 
     def _serve_epoch(self, batch: "QueryBatch") -> ServiceResult:
@@ -821,8 +799,6 @@ class Simulation:
             "suicide_count": 0.0,
             "skipped_actions": 0.0,
         }
-        if self.timeseries is not None:
-            self._decision_counts = {}
         for action in actions:
             if isinstance(action, Replicate):
                 self._apply_replicate(action, stats, epoch)
@@ -834,92 +810,21 @@ class Simulation:
                 raise ActionError(f"unknown action type: {action!r}")
         return stats
 
-    def _count_decision(self, action: Action) -> None:
-        """Bump the per-epoch applied-action count for the action's reason."""
-        if self.timeseries is None:
-            return
-        reason = action.reason or "unspecified"
-        self._decision_counts[reason] = self._decision_counts.get(reason, 0.0) + 1.0
-
-    def _note_fate(
-        self,
-        epoch: int,
-        kind: str,
-        action: Action,
-        fate: str,
-        cause: str = "",
-        target_dc: int = -1,
-    ) -> None:
-        """Report an action's applied/skipped fate to the provenance ledger."""
-        if self.provenance is not None:
-            self.provenance.note_fate(
-                epoch, kind, action, fate, cause=cause, target_dc=target_dc
-            )
-
-    def _trace_action(
-        self,
-        epoch: int,
-        kind: str,
-        action: Action,
-        server: int,
-        partition: int,
-        cost: float = 0.0,
-        **extra: object,
-    ) -> None:
-        """One record per applied action, tagged with the policy's reason."""
-        if self.tracer.enabled:
-            self.tracer.emit(
-                TraceEvent(
-                    epoch=epoch,
-                    kind=kind,
-                    server=server,
-                    partition=partition,
-                    reason=action.reason,
-                    cost=cost,
-                    policy=self.policy_name,
-                    extra=dict(extra),
-                )
-            )
-        if self.instruments is not None:
-            self.instruments.counter(
-                "actions_total",
-                kind=kind,
-                reason=action.reason,
-                policy=self.policy_name,
-            ).inc()
-
     def _skip_action(
         self, epoch: int, kind: str, action: Action, cause: str, stats: dict[str, float]
     ) -> None:
         """A gate refused the action: count it and say which gate."""
         stats["skipped_actions"] += 1
-        self._note_fate(epoch, kind, action, "skipped", cause=cause)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                TraceEvent(
-                    epoch=epoch,
-                    kind="action_skipped",
-                    server=getattr(action, "target_sid", getattr(action, "sid", None)),
-                    partition=action.partition,
-                    reason=action.reason,
-                    policy=self.policy_name,
-                    extra={"action": kind, "cause": cause},
-                )
-            )
-        if self.instruments is not None:
-            self.instruments.counter(
-                "actions_skipped_total", kind=kind, cause=cause
-            ).inc()
-
-    def _observe_replica_death(self, epoch: int, partition: int, sid: int) -> None:
-        """Feed the lifetime histogram when a copy is deliberately removed."""
-        if self.instruments is None:
-            return
-        born = self._replica_birth.pop((partition, sid), None)
-        if born is not None:
-            self.instruments.histogram(
-                "replica_lifetime_epochs", policy=self.policy_name
-            ).observe(float(epoch - born))
+        self._emit(
+            "action_skipped",
+            epoch,
+            server=getattr(action, "target_sid", getattr(action, "sid", None)),
+            partition=action.partition,
+            reason=action.reason,
+            action=kind,
+            cause=cause,
+            source=getattr(action, "source_sid", -1),
+        )
 
     def _transfer_distance_km(self, src_dc: int, dst_dc: int) -> float:
         if src_dc == dst_dc:
@@ -962,16 +867,12 @@ class Simulation:
             self.config.cluster.replication_bandwidth_mb,
         )
         stats["replication_cost"] += cost
-        if self.instruments is not None:
-            self._replica_birth[(action.partition, action.target_sid)] = epoch
-        self._count_decision(action)
-        self._note_fate(epoch, "replicate", action, "applied", target_dc=target.dc)
-        self._trace_action(
-            epoch,
+        self._emit(
             "replicate",
-            action,
-            action.target_sid,
-            action.partition,
+            epoch,
+            server=action.target_sid,
+            partition=action.partition,
+            reason=action.reason,
             cost=cost,
             source=action.source_sid,
             dc=target.dc,
@@ -1013,17 +914,12 @@ class Simulation:
             self.config.cluster.migration_bandwidth_mb,
         )
         stats["migration_cost"] += cost
-        if self.instruments is not None:
-            self._observe_replica_death(epoch, action.partition, action.source_sid)
-            self._replica_birth[(action.partition, action.target_sid)] = epoch
-        self._count_decision(action)
-        self._note_fate(epoch, "migrate", action, "applied", target_dc=target.dc)
-        self._trace_action(
-            epoch,
+        self._emit(
             "migrate",
-            action,
-            action.target_sid,
-            action.partition,
+            epoch,
+            server=action.target_sid,
+            partition=action.partition,
+            reason=action.reason,
             cost=cost,
             source=action.source_sid,
             dc=target.dc,
@@ -1045,21 +941,12 @@ class Simulation:
         stats["suicide_count"] += 1
         if self.work is not None:
             self.work.evict_actions += 1
-        self._observe_replica_death(epoch, action.partition, action.sid)
-        self._count_decision(action)
-        self._note_fate(
-            epoch,
+        self._emit(
             "suicide",
-            action,
-            "applied",
-            target_dc=self.cluster.dc_of(action.sid),
-        )
-        self._trace_action(
             epoch,
-            "suicide",
-            action,
-            action.sid,
-            action.partition,
+            server=action.sid,
+            partition=action.partition,
+            reason=action.reason,
             dc=self.cluster.dc_of(action.sid),
         )
 

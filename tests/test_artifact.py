@@ -377,16 +377,36 @@ class TestCliBoundary:
             (["sweep", "--max-workers", "0", "--epochs", "2"], "--max-workers"),
             (["run", *TINY, "--provenance-out", "x", "--provenance-budget", "0"],
              "--provenance-budget"),
+            (["analyze", "missing.jsonl"], "no such trace file: missing.jsonl"),
+            (["analyze", "empty.jsonl"], "empty.jsonl holds no readable trace events"),
+            (["analyze", "empty.jsonl", "--format", "prometheus"],
+             "holds no readable trace events"),
         ],
-        ids=["epochs-0", "partitions-neg", "max-workers-0", "provenance-budget-0"],
+        ids=[
+            "epochs-0",
+            "partitions-neg",
+            "max-workers-0",
+            "provenance-budget-0",
+            "analyze-missing-trace",
+            "analyze-empty-trace",
+            "analyze-empty-trace-prometheus",
+        ],
     )
     def test_bad_usage_exits_2_with_one_line(self, argv, needle, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.jsonl").write_text("")
         code = main(argv)
         _assert_clean_exit(code, capsys.readouterr().err, needle)
 
     @pytest.mark.parametrize(
-        "argv", [["run", "--epochs", "0"], ["run", "--partitions", "-3"]]
+        "argv",
+        [
+            ["run", "--epochs", "0"],
+            ["run", "--partitions", "-3"],
+            ["run", *TINY, "--csv", "no/such/dir/x.csv"],
+            ["run", *TINY, "--json", "no/such/dir/x.json"],
+            ["run", *TINY, "--timeseries-out", "no/such/dir/x.tsdb.json"],
+        ],
     )
     def test_process_exit_code_and_stderr(self, argv, tmp_path):
         proc = subprocess.run(

@@ -14,7 +14,6 @@ from repro.obs import (
     InstrumentRegistry,
     JsonlTracer,
     NullProfiler,
-    NullTracer,
     PhaseProfiler,
     RingBufferTracer,
     TraceEvent,
@@ -102,9 +101,42 @@ class TestJsonlTracer:
         assert record["kind"] == "replicate" and record["reason"] == "availability"
 
 
-def test_null_tracer_is_disabled():
-    assert NullTracer.enabled is False
-    assert Simulation(_small_config()).tracer.enabled is False
+@pytest.mark.parametrize("engine", ["scalar", "columnar"])
+def test_unobserved_run_constructs_no_event(engine, monkeypatch):
+    """With no subscriber attached, no emission site builds an event —
+    not for actions, skips, failures, restores, recoveries, link cuts or
+    SLA misses — while the direct observers (profiler, work counters)
+    still run."""
+    import dataclasses
+
+    import repro.sim.engine as engine_module
+    from repro.experiments.runner import run_experiment
+    from repro.experiments.scenarios import chaos_schedule, random_query_scenario
+    from repro.obs.perf.counters import WorkCounters
+    from repro.sim.events import MassFailureEvent
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an unobserved run constructed a TraceEvent")
+
+    monkeypatch.setattr(engine_module, "TraceEvent", forbidden)
+    scenario = random_query_scenario(_small_config(), epochs=60)
+    scenario = dataclasses.replace(
+        scenario,
+        chaos=chaos_schedule("wan-partition", 60),
+        events=(
+            MassFailureEvent(epoch=10, count=90),
+            ServerRecoveryEvent(epoch=20),
+        ),
+    )
+    result = run_experiment(
+        "rfh", scenario, profiler=PhaseProfiler(), work=WorkCounters(), engine=engine
+    )
+    metrics = result.metrics
+    # The sites were reached: actions, skips, restores and SLA misses.
+    assert metrics.array("replication_count").sum() > 0
+    assert metrics.array("skipped_actions").sum() > 0
+    assert metrics.array("lost_partitions").sum() > 0
+    assert (metrics.array("sla_attainment") < 1.0).any()
 
 
 # ----------------------------------------------------------------------

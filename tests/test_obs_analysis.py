@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
+
 from repro.cli import main
 from repro.config import SimulationConfig, WorkloadParameters
 from repro.obs import (
@@ -365,6 +367,45 @@ class TestExporters:
         # The replicate stay (1..3, killed by the failure) is re-stitched.
         hist = registry.histogram("replica_lifetime_epochs", policy="rfh")
         assert 2.0 in hist.samples
+
+    @pytest.mark.parametrize("engine", ["scalar", "columnar"])
+    def test_live_and_offline_registries_count_alike(self, engine):
+        """A live registry and one rebuilt from the same run's trace hold
+        identical counters (apart from the offline-only
+        trace_events_total) and an identical lifetime histogram."""
+        import dataclasses
+
+        from repro.experiments.runner import run_experiment
+        from repro.experiments.scenarios import chaos_schedule, random_query_scenario
+
+        scenario = random_query_scenario(_small_config(), epochs=80)
+        scenario = dataclasses.replace(
+            scenario,
+            chaos=chaos_schedule("wan-partition", 80),
+            events=(MassFailureEvent(epoch=30, count=40),),
+        )
+        live = InstrumentRegistry()
+        tracer = RingBufferTracer()
+        run_experiment("rfh", scenario, instruments=live, tracer=tracer, engine=engine)
+        offline = registry_from_events(tracer.events())
+
+        def counters(registry):
+            return {
+                (row["name"], tuple(sorted(row["labels"].items()))): row["value"]
+                for row in registry.snapshot()["counters"]
+                if row["name"] != "trace_events_total"
+            }
+
+        live_counters = counters(live)
+        assert {name for name, _ in live_counters} >= {
+            "actions_total",
+            "actions_skipped_total",
+            "membership_events_total",
+            "wan_link_events_total",
+            "sla_miss_total",
+        }
+        assert counters(offline) == live_counters
+        assert offline.snapshot()["histograms"] == live.snapshot()["histograms"]
 
     def test_chrome_trace_shape_and_metadata(self):
         events = [

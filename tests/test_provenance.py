@@ -1,9 +1,11 @@
 """The decision-provenance ledger: recorder capture, the ``.prov.json``
-artifact, trace cross-check and the shared artifact-path helpers
-(``repro.obs.provenance`` / ``repro.obs.paths``)."""
+artifact, the ledger-vs-metrics lineage check and the shared
+artifact-path helpers (``repro.obs.provenance`` / ``repro.obs.paths``)."""
 
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -11,23 +13,20 @@ from repro.config import SimulationConfig
 from repro.errors import ProvenanceError
 from repro.experiments.comparison import POLICIES, compare_policies
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import random_query_scenario
+from repro.experiments.scenarios import chaos_schedule, random_query_scenario
 from repro.obs.paths import derived_path, split_suffix, tagged_path
 from repro.obs.provenance import (
     ProvArtifact,
     ProvenanceRecorder,
-    crosscheck_trace,
     diff_provenance,
 )
-from repro.obs.trace import RingBufferTracer
+from repro.obs.trace import RingBufferTracer, TraceEvent
 from repro.sim import reasons
 from repro.sim.actions import Replicate, Suicide
 
 
 def _scenario(epochs=12, partitions=16):
     config = SimulationConfig()
-    import dataclasses
-
     config = dataclasses.replace(
         config,
         workload=dataclasses.replace(config.workload, num_partitions=partitions),
@@ -35,14 +34,32 @@ def _scenario(epochs=12, partitions=16):
     return random_query_scenario(config, epochs=epochs)
 
 
-def _recorded_run(epochs=12, policy="rfh", tracer=None, budget=None):
+def _recorded_run(epochs=12, policy="rfh", budget=None):
     recorder = (
         ProvenanceRecorder(budget=budget) if budget else ProvenanceRecorder()
     )
-    result = run_experiment(
-        policy, _scenario(epochs=epochs), provenance=recorder, tracer=tracer
-    )
+    result = run_experiment(policy, _scenario(epochs=epochs), provenance=recorder)
     return recorder, result
+
+
+def _fate(epoch, action, fate, cause="", target_dc=-1):
+    """The engine event that carries ``action``'s fate."""
+    kind = type(action).__name__.lower()
+    server = action.sid if kind == "suicide" else action.target_sid
+    source = getattr(action, "source_sid", -1)
+    if fate == "skipped":
+        extra = {"action": kind, "cause": cause, "source": source}
+        kind = "action_skipped"
+    else:
+        extra = {"dc": target_dc} if kind == "suicide" else {"source": source, "dc": target_dc}
+    return TraceEvent(
+        epoch=epoch,
+        kind=kind,
+        server=server,
+        partition=action.partition,
+        reason=action.reason,
+        extra=extra,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +92,7 @@ class TestRecorder:
         )
         action = Replicate(1, 0, 5, reason=reasons.AVAILABILITY)
         rec.close(draft, [action])
-        rec.note_fate(0, "replicate", action, "applied", target_dc=4)
+        rec.on_event(_fate(0, action, "applied", target_dc=4))
         (record,) = rec.records
         assert record.fate == "applied"
         assert record.target_dc == 4
@@ -83,7 +100,7 @@ class TestRecorder:
     def test_note_fate_synthesizes_for_draftless_policy(self):
         rec = ProvenanceRecorder()
         action = Suicide(7, 42, reason=reasons.COLD_REPLICA)
-        rec.note_fate(3, "suicide", action, "skipped", cause=reasons.SKIP_LAST_COPY)
+        rec.on_event(_fate(3, action, "skipped", cause=reasons.SKIP_LAST_COPY))
         (record,) = rec.records
         assert record.partition == 7
         assert record.branch == ""
@@ -102,7 +119,7 @@ class TestRecorder:
         rec.close(draft, [action])
         # A fate arriving in a later epoch must not match epoch 0's
         # pending decision; it synthesizes its own record instead.
-        rec.note_fate(1, "replicate", action, "applied")
+        rec.on_event(_fate(1, action, "applied", target_dc=0))
         assert len(rec.records) == 2
         assert rec.records[0].fate == "none"
         assert rec.records[1].fate == "applied"
@@ -159,7 +176,7 @@ class TestArtifact:
     def test_nan_context_terms_survive_json(self, tmp_path):
         rec = ProvenanceRecorder()
         action = Suicide(1, 9, reason=reasons.COLD_REPLICA)
-        rec.note_fate(0, "suicide", action, "applied")
+        rec.on_event(_fate(0, action, "applied", target_dc=0))
         path = tmp_path / "nan.prov.json"
         rec.artifact().save(path)
         # The file itself must be strict JSON (no bare NaN tokens).
@@ -210,19 +227,39 @@ class TestArtifact:
 # ----------------------------------------------------------------------
 # Engine integration & lineage guarantee
 # ----------------------------------------------------------------------
+def _assert_ledger_matches_metrics(policy, epochs):
+    """Applied ledger records per (epoch, kind) equal the engine's
+    replication/migration/suicide counts, and skipped records per epoch
+    equal ``skipped_actions``: an oracle that does not pass through the
+    event stream the ledger subscribes to."""
+    scenario = dataclasses.replace(
+        _scenario(epochs=epochs), chaos=chaos_schedule("wan-partition", epochs)
+    )
+    recorder = ProvenanceRecorder()
+    result = run_experiment(policy, scenario, provenance=recorder)
+    records = recorder.artifact().records
+    applied = Counter((r.epoch, r.action) for r in records if r.fate == "applied")
+    skipped = Counter(r.epoch for r in records if r.fate == "skipped")
+    series = {
+        "replicate": result.series("replication_count"),
+        "migrate": result.series("migration_count"),
+        "suicide": result.series("suicide_count"),
+    }
+    for epoch in range(epochs):
+        for kind, counts in series.items():
+            assert applied[(epoch, kind)] == counts[epoch], (policy, epoch, kind)
+        assert skipped[epoch] == result.series("skipped_actions")[epoch], (policy, epoch)
+    assert sum(applied.values()) > 0
+    return sum(skipped.values())
+
+
 class TestEngineIntegration:
     def test_every_trace_action_has_a_provenance_record(self):
-        tracer = RingBufferTracer()
-        recorder, _ = _recorded_run(epochs=15, tracer=tracer)
-        artifact = recorder.artifact()
-        assert artifact.num_actions > 0
-        assert crosscheck_trace(artifact, tracer.events()) == []
+        assert _assert_ledger_matches_metrics("rfh", epochs=40) > 0
 
     @pytest.mark.parametrize("policy", [p for p in POLICIES if p != "rfh"])
     def test_baseline_policies_get_synthesized_lineage(self, policy):
-        tracer = RingBufferTracer()
-        recorder, _ = _recorded_run(epochs=10, policy=policy, tracer=tracer)
-        assert crosscheck_trace(recorder.artifact(), tracer.events()) == []
+        _assert_ledger_matches_metrics(policy, epochs=30)
 
     def test_recorder_attachment_does_not_change_decisions(self):
         scenario = _scenario(epochs=12)
@@ -241,13 +278,11 @@ class TestEngineIntegration:
     def test_compare_provenance_factory_one_ledger_per_policy(self):
         recorders = {}
 
-        def factory(policy):
+        def observers(policy):
             recorders[policy] = ProvenanceRecorder()
-            return recorders[policy]
+            return {"provenance": recorders[policy]}
 
-        compare_policies(
-            _scenario(epochs=6), ("rfh", "random"), provenance_factory=factory
-        )
+        compare_policies(_scenario(epochs=6), ("rfh", "random"), observers=observers)
         assert set(recorders) == {"rfh", "random"}
         assert all(r.records for r in recorders.values())
 
