@@ -119,9 +119,9 @@ def _large_scale_trace() -> WorkloadTrace:
             hierarchy=hierarchy,
             wan=build_ring_wan(hierarchy),
         )
-        _LARGE_SCALE["trace"] = WorkloadTrace.record(
-            probe.workload, _LARGE_WARM_EPOCHS + _LARGE_ROUNDS + 3
-        )
+        trace = WorkloadTrace.record(probe.workload, _LARGE_WARM_EPOCHS + _LARGE_ROUNDS + 3)
+        trace.batches()  # wait for the producer: timed steps must not overlap sampling
+        _LARGE_SCALE["trace"] = trace
     return _LARGE_SCALE["trace"]
 
 
@@ -183,6 +183,7 @@ def test_large_scale_bootstrap_epoch(benchmark):
     config = _bootstrap_config()
     probe = Simulation(config, policy="rfh", hierarchy=hierarchy, wan=wan)
     trace = WorkloadTrace.record(probe.workload, 1)
+    trace.batches()  # sampled before the timed epoch
 
     def fresh_world():
         sim = ColumnarSimulation(

@@ -38,7 +38,9 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, ReproError
 
-__all__ = ["ArtifactFormat", "clean", "read_json", "restore", "write_json", "write_text"]
+__all__ = [
+    "ArtifactFormat", "clean", "read_json", "restore", "write_bytes", "write_json", "write_text",
+]
 
 _NAN = float("nan")
 _isfinite = math.isfinite
@@ -73,6 +75,11 @@ def restore(value: object) -> object:
 
 def write_text(path: str | pathlib.Path, text: str) -> None:
     """Atomically replace ``path`` with ``text``, written verbatim."""
+    write_bytes(path, text.encode("utf-8"))
+
+
+def write_bytes(path: str | pathlib.Path, data: bytes) -> None:
+    """Atomically replace ``path`` with ``data``."""
     path = pathlib.Path(path)
     # A thread writes one file at a time, so (pid, thread) names a
     # writer uniquely and concurrent writers never share a temp file.
@@ -80,8 +87,8 @@ def write_text(path: str | pathlib.Path, text: str) -> None:
         f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
     try:
-        with open(temp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(temp, "wb") as handle:
+            handle.write(data)
         os.replace(temp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):

@@ -57,6 +57,10 @@ class QueryGenerator:
         return self._pattern
 
     @property
+    def num_partitions(self) -> int:
+        return self._params.num_partitions
+
+    @property
     def num_origins(self) -> int:
         return self._pattern.num_origins
 
@@ -95,5 +99,8 @@ class QueryGenerator:
         )
         total = int(self._rng.poisson(rate))
         cells = self._rng.multinomial(total, joint)
-        counts = cells.reshape(self._params.num_partitions, self._pattern.num_origins)
-        return QueryBatch.from_trusted(epoch, counts)
+        # Compact at once: the dense draw is almost all zeros at scale.
+        flat = np.flatnonzero(cells)
+        return QueryBatch.from_cells(
+            epoch, (self.num_partitions, self.num_origins), flat, cells[flat]
+        )

@@ -1,5 +1,8 @@
 """Workload substrate: batches, Zipf, patterns, generator, trace."""
 
+import pathlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,23 @@ class TestQueryBatch:
     def test_integral_floats_accepted(self):
         batch = QueryBatch(0, np.array([[2.0]]))
         assert batch.total == 2
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 2.0**63, 1e300])
+    def test_nonfinite_and_oversized_floats_rejected(self, bad):
+        """Regression: ``inf`` used to be cast to -2**63 with only a
+        RuntimeWarning; now no cast is attempted and nothing warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WorkloadError):
+                QueryBatch(0, np.array([[bad, 1.0]]))
+
+    def test_unsigned_counts_beyond_int64_rejected(self):
+        with pytest.raises(WorkloadError):
+            QueryBatch(0, np.array([[2**64 - 1, 1]], dtype=np.uint64))
+
+    def test_largest_int64_float_accepted(self):
+        batch = QueryBatch(0, np.array([[2.0**62, 1.0]]))
+        assert batch.total == 2**62 + 1
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(WorkloadError):
@@ -226,9 +246,42 @@ class TestTrace:
         for epoch in range(len(trace)):
             assert loaded.generate(epoch) == trace.generate(epoch)
 
+    def test_save_writes_exactly_the_given_path(self, tmp_path):
+        """Regression: numpy's savez appended ``.npz`` to any other
+        suffix, so ``load`` of the same path failed."""
+        trace = self._trace(epochs=5)
+        path = tmp_path / "w.trace"
+        trace.save(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.trace"]
+        loaded = WorkloadTrace.load(path)
+        assert loaded.batches() == trace.batches()
+        trace.save(path)  # replacing an existing file leaves no temp behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.trace"]
+
+    def test_loads_a_file_written_before_streaming(self):
+        """The ``.npz`` layout is unchanged: a file the eager recorder
+        wrote loads, and equals today's draws for the same seed."""
+        path = pathlib.Path(__file__).parent / "data" / "workload-trace.npz"
+        loaded = WorkloadTrace.load(path)
+        params = WorkloadParameters(queries_per_epoch_mean=20.0, num_partitions=6)
+        gen = QueryGenerator(params, UniformPattern(6, 3, 0.9), RngTree(11).stream("wl"))
+        assert [b.total for b in loaded.batches()] == [17, 15, 19, 32]
+        assert loaded.batches() == tuple(gen.generate(epoch) for epoch in range(4))
+
     def test_load_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "other.npz"
         np.savez(path, foo=np.zeros(3))
+        with pytest.raises(WorkloadError):
+            WorkloadTrace.load(path)
+
+    @pytest.mark.parametrize("content", [None, b"", b"not a trace", "npy"])
+    def test_load_rejects_missing_and_foreign_files(self, tmp_path, content):
+        path = tmp_path / "w.trace"
+        if content == "npy":
+            with open(path, "wb") as handle:
+                np.save(handle, np.zeros((2, 2, 2), dtype=np.int64))
+        elif content is not None:
+            path.write_bytes(content)
         with pytest.raises(WorkloadError):
             WorkloadTrace.load(path)
 
