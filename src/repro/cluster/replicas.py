@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+import numpy as np
+
 from ..errors import ActionError, SimulationError
 from .cluster import Cluster
 
@@ -59,7 +61,8 @@ class ReplicaMap:
     # ------------------------------------------------------------------
     def attach_mirror(self, mirror) -> None:
         """Attach an object receiving ``on_count(partition, sid, count)``
-        and ``on_holder(partition, sid_or_none)`` on every mutation.
+        and ``on_holder(partition, sid_or_none)`` on every mutation, and
+        ``on_add_many(partitions, sids)`` for each :meth:`add_many`.
 
         The mirror is responsible for syncing itself to the current state
         at attach time; only one mirror is supported."""
@@ -176,6 +179,37 @@ class ReplicaMap:
             raise ActionError(f"cannot place partition {partition} on down server {sid}")
         server.store(self._size_mb)
         self._add_count(partition, sid)
+
+    def add_many(self, partitions: np.ndarray, sids: np.ndarray) -> None:
+        """:meth:`add` one copy per ``(partitions[k], sids[k])`` pair, in order.
+
+        Same end state as the single calls: each target server stores
+        its copies through one :meth:`Server.store` of that many writes,
+        and an attached mirror gets one ``on_add_many`` call instead of
+        one ``on_count`` per copy.  Every partition and target is
+        checked before anything changes; a :class:`CapacityError` from
+        a later server leaves earlier servers' writes in place, so
+        callers size the batch with :meth:`Server.storage_slots` first.
+        """
+        if partitions.shape[0] == 0:
+            return
+        self._check_partition(int(partitions.min()))
+        self._check_partition(int(partitions.max()))
+        targets, copies = np.unique(sids, return_counts=True)
+        servers = [self._cluster.server(sid) for sid in targets.tolist()]
+        for server in servers:
+            if not server.alive:
+                raise ActionError(f"cannot place a partition on down server {server.sid}")
+        for server, n in zip(servers, copies.tolist()):
+            server.store(self._size_mb, n)
+        counts = self._counts
+        dc_cache = self._dc_cache
+        for partition, sid in zip(partitions.tolist(), sids.tolist()):
+            row = counts[partition]
+            row[sid] = row.get(sid, 0) + 1
+            dc_cache[partition] = None
+        if self._mirror is not None:
+            self._mirror.on_add_many(partitions, sids)
 
     def remove(self, partition: int, sid: int) -> None:
         """Remove one copy from ``sid`` (releases its storage).

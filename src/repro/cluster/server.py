@@ -131,13 +131,35 @@ class Server:
         """
         return (self._storage_used_mb + extra_mb) / self.storage_capacity_mb < phi
 
-    def store(self, size_mb: float) -> None:
-        """Account ``size_mb`` of new data.
+    def storage_slots(self, extra_mb: float, phi: float, limit: int) -> int:
+        """How many of ``limit`` successive ``extra_mb`` copies would pass
+        :meth:`storage_gate_open`, each stored before the next is gated.
+
+        Replays on a local copy the float sequence that alternating
+        :meth:`storage_gate_open` and :meth:`store` calls produce (the
+        same expressions), so a batch can be sized without mutating the
+        server.  The gate only closes as usage grows, so the copies
+        admitted are a prefix.
+        """
+        used = self._storage_used_mb
+        capacity = self.storage_capacity_mb
+        slots = 0
+        while slots < limit and (used + extra_mb) / capacity < phi:
+            used += extra_mb
+            slots += 1
+        return slots
+
+    def store(self, size_mb: float, copies: int = 1) -> None:
+        """Account ``copies`` successive writes of ``size_mb`` each.
+
+        The writes are added one at a time (the float sequence of
+        ``copies`` single calls) and committed together: when one would
+        fail, nothing is stored.
 
         Raises
         ------
         CapacityError
-            If the server is down or the write exceeds raw capacity.
+            If the server is down or a write exceeds raw capacity.
             (The *soft* gate ``phi`` is checked by placement logic; this
             hard check only guards physical capacity.)
         """
@@ -145,12 +167,15 @@ class Server:
             raise CapacityError(f"server {self.sid} is down")
         if size_mb < 0:
             raise CapacityError(f"cannot store a negative size: {size_mb}")
-        if self._storage_used_mb + size_mb > self.storage_capacity_mb + 1e-9:
-            raise CapacityError(
-                f"server {self.sid}: storing {size_mb} MB would exceed capacity "
-                f"({self._storage_used_mb}/{self.storage_capacity_mb} MB used)"
-            )
-        self._storage_used_mb += size_mb
+        used = self._storage_used_mb
+        for _ in range(copies):
+            if used + size_mb > self.storage_capacity_mb + 1e-9:
+                raise CapacityError(
+                    f"server {self.sid}: storing {size_mb} MB would exceed capacity "
+                    f"({used}/{self.storage_capacity_mb} MB used)"
+                )
+            used += size_mb
+        self._storage_used_mb = used
 
     def release(self, size_mb: float) -> None:
         """Release previously stored data."""
@@ -181,11 +206,31 @@ class Server:
         """Outbound migration bandwidth left this epoch."""
         return self._migration_budget_mb
 
-    def consume_replication_bandwidth(self, size_mb: float) -> bool:
-        """Try to reserve replication bandwidth; False when exhausted."""
-        if size_mb > self._replication_budget_mb + 1e-9:
-            return False
-        self._replication_budget_mb -= size_mb
+    def replication_slots(self, size_mb: float, limit: int) -> int:
+        """How many of ``limit`` successive ``size_mb`` transfers
+        :meth:`consume_replication_bandwidth` would accept.
+
+        Replays the budget's float sequence on a local copy (the same
+        expressions); the budget only shrinks, so the transfers accepted
+        are a prefix.
+        """
+        budget = self._replication_budget_mb
+        slots = 0
+        while slots < limit and not size_mb > budget + 1e-9:
+            budget -= size_mb
+            slots += 1
+        return slots
+
+    def consume_replication_bandwidth(self, size_mb: float, copies: int = 1) -> bool:
+        """Try to reserve replication bandwidth for ``copies`` successive
+        transfers; False, with nothing reserved, when the budget runs out
+        first."""
+        budget = self._replication_budget_mb
+        for _ in range(copies):
+            if size_mb > budget + 1e-9:
+                return False
+            budget -= size_mb
+        self._replication_budget_mb = budget
         return True
 
     def consume_migration_bandwidth(self, size_mb: float) -> bool:

@@ -29,6 +29,7 @@ from .traffic import _null_span
 if TYPE_CHECKING:
     from ..obs.perf.counters import WorkCounters
     from ..sim.columnar.state import SimState
+    from ..workload.query import QueryBatch
 
 __all__ = ["RFHPolicy", "ReplicaAges"]
 
@@ -73,15 +74,15 @@ class RFHPolicy:
         self._unserved = Ewma(self._params.alpha)  # blocked-query signal
         # The two matrix-shaped EWMAs — Eq. 11's (partition, dc) traffic
         # and the per-(partition, server) served signal — are kept by
-        # hand: updated in place with a reused scratch buffer (the same
-        # per-element multiply/add sequence :class:`Ewma` performs, so
-        # values stay bit-identical) because at scale the defensive
-        # copies would dominate the epoch.  The server axis can also
-        # grow when nodes join mid-run.
+        # hand: updated in place on the rows that ever had a query (the
+        # same per-element multiply/add sequence :class:`Ewma` performs,
+        # so values stay bit-identical; see :meth:`_smoothed_rows`)
+        # because at scale almost every row is an exact zero.  The
+        # server axis can also grow when nodes join mid-run.
         self._traffic: np.ndarray | None = None  # Eq. 11, per (partition, dc)
-        self._traffic_scratch: np.ndarray | None = None
         self._served: np.ndarray | None = None
-        self._served_scratch: np.ndarray | None = None
+        self._ever_active = np.zeros(0, dtype=bool)
+        self._active_rows = np.zeros(0, dtype=np.int64)
         # Birth epoch of replicas this policy created, for the suicide
         # warm-up exemption, indexed partition → {sid: epoch} so the age
         # view can be built only for the partitions under evaluation.
@@ -133,12 +134,13 @@ class RFHPolicy:
         """Run the decision tree over all partitions for one epoch."""
         with self._span("ewma-smoothing"):
             avg_query = np.asarray(self._avg_query.update(obs.system_average_query()))
-            traffic = self._update_traffic(obs.traffic_dc)
+            rows = self._smoothed_rows(obs.queries)
+            traffic = self._update_traffic(obs.traffic_dc, rows)
             holder_traffic = np.asarray(
                 self._holder_traffic.update(obs.holder_traffic)
             )
             unserved = np.asarray(self._unserved.update(obs.unserved))
-            served = self._update_served(obs.served_server)
+            served = self._update_served(obs.served_server, rows)
         actions: list[Action] = []
         with self._span("decision-eval"):
             partitions, settled = self._decision_partitions(
@@ -335,44 +337,60 @@ class RFHPolicy:
                 if by_sid is not None:
                     by_sid.pop(action.sid, None)
 
-    def _update_traffic(self, raw: np.ndarray) -> np.ndarray:
-        """EWMA of the (P, D) traffic matrix (Eq. 11), in place.
+    def _smoothed_rows(self, queries: "QueryBatch") -> np.ndarray:
+        """Ascending partitions that have had a query in some epoch so far.
+
+        A row without queries is exactly zero in the raw traffic and
+        served matrices (:meth:`QueryBatch.active_rows`), and a row that
+        is ``+0.0`` in both the old EWMA and the raw input stays
+        ``(1 - α)·0 + α·0 = +0.0``.  So every row outside this set is
+        zero in the dense EWMAs too, and updating only these rows leaves
+        every element bit-identical.
+        """
+        ever = self._ever_active
+        if ever.shape[0] != queries.num_partitions:
+            ever = np.zeros(queries.num_partitions, dtype=bool)
+            self._ever_active = ever
+        rows = queries.active_rows()
+        fresh = rows[~ever[rows]]
+        if fresh.shape[0]:
+            ever[fresh] = True
+            self._active_rows = np.flatnonzero(ever)
+        return self._active_rows
+
+    def _update_traffic(self, raw: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """EWMA of the (P, D) traffic matrix (Eq. 11), in place on ``rows``.
 
         Per element this performs ``(1 - α)·old``, ``α·raw``, then their
-        sum — the exact operation sequence :class:`Ewma` runs — with the
-        products written into reused buffers instead of fresh ones.
+        sum — the exact operation sequence :class:`Ewma` runs.  The
+        first epoch copies the raw matrix, as :class:`Ewma` does.
         """
-        alpha = self._params.alpha
         if self._traffic is None:
             self._traffic = raw.astype(np.float64, copy=True)
-            self._traffic_scratch = np.empty_like(self._traffic)
         else:
-            scratch = self._traffic_scratch
-            assert scratch is not None
-            np.multiply(self._traffic, 1.0 - alpha, out=self._traffic)
-            np.multiply(raw, alpha, out=scratch)
-            self._traffic += scratch
+            self._smooth_rows(self._traffic, raw, rows)
         return self._traffic
 
-    def _update_served(self, raw: np.ndarray) -> np.ndarray:
+    def _update_served(self, raw: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """EWMA of the (P, S) served matrix, padding on server growth.
 
-        In place with a scratch buffer, same element sequence as
+        In place on ``rows``, same element sequence as
         :meth:`_update_traffic`.
         """
-        alpha = self._params.alpha
-        if self._served is None or raw.shape[1] > self._served.shape[1]:
-            if self._served is None:
-                self._served = raw.astype(np.float64, copy=True)
-                self._served_scratch = np.empty_like(self._served)
-                return self._served
+        if self._served is None:
+            self._served = raw.astype(np.float64, copy=True)
+            return self._served
+        if raw.shape[1] > self._served.shape[1]:
             grown = np.zeros_like(raw, dtype=np.float64)
             grown[:, : self._served.shape[1]] = self._served
             self._served = grown
-            self._served_scratch = np.empty_like(grown)
-        scratch = self._served_scratch
-        assert scratch is not None
-        np.multiply(self._served, 1.0 - alpha, out=self._served)
-        np.multiply(raw, alpha, out=scratch)
-        self._served += scratch
+        self._smooth_rows(self._served, raw, rows)
         return self._served
+
+    def _smooth_rows(self, smoothed: np.ndarray, raw: np.ndarray, rows: np.ndarray) -> None:
+        """``smoothed[rows] = (1 - α)·smoothed[rows] + α·raw[rows]``."""
+        alpha = self._params.alpha
+        block = smoothed[rows]
+        np.multiply(block, 1.0 - alpha, out=block)
+        block += np.multiply(raw[rows], alpha)
+        smoothed[rows] = block

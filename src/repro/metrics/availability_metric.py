@@ -10,6 +10,8 @@ the lost state (no copy anywhere, awaiting restoration).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from ..cluster.replicas import ReplicaMap
 from ..core.availability import availability_at_least_one
@@ -42,7 +44,10 @@ def availability_summary(
     meeting = sum(1 for r in counts if r >= rmin)
     return AvailabilitySummary(
         fraction_meeting_floor=meeting / len(counts),
-        mean_availability=sum(availabilities) / len(availabilities),
+        # An explicit left-to-right fold: builtin ``sum`` of floats is
+        # compensated since Python 3.12, which the columnar engine's
+        # ``np.add.accumulate`` does not reproduce.
+        mean_availability=reduce(add, availabilities, 0.0) / len(availabilities),
         min_availability=min(availabilities),
         lost_partitions=sum(1 for r in counts if r == 0),
     )

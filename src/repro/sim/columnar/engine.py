@@ -2,21 +2,30 @@
 
 :class:`ColumnarSimulation` subclasses the scalar
 :class:`~repro.sim.engine.Simulation` and overrides only the hot-path
-hooks — serve, blocking, metric-source accessors, lost-partition scan —
-with array kernels over a :class:`SimState` mirror of the replica map.
-Everything else (membership, workload, policy protocol, apply gates,
-tracing, sanitizer) is inherited unchanged, which is what makes the
-bit-identical contract tractable: the authoritative world objects are
-the same, only the arithmetic routes through numpy.
+hooks — serve, blocking, metric-source accessors, lost-partition scan,
+the apply phase — with array kernels over a :class:`SimState` mirror of
+the replica map.  Everything else (membership, workload, policy
+protocol, tracing, sanitizer) is inherited unchanged, which is what
+makes the bit-identical contract tractable: the authoritative world
+objects are the same, only the arithmetic routes through numpy.
+
+The apply override settles an all-``Replicate`` list from per-server
+slot counts — each server's storage-gate and bandwidth float sequences
+replayed by :class:`~repro.cluster.server.Server` itself — and applies
+the admitted copies through one ``ReplicaMap.add_many``.
 
 Fallbacks: epochs with WAN links down (degraded router) or a holderless
-partition delegate to the scalar serve path, so chaos scenarios remain
-exactly reproducible without a second implementation of degraded
-routing.
+partition delegate to the scalar serve path.  Apply lists with a
+``Migrate``/``Suicide``, lists applied on a degraded WAN and lists with
+an action the per-action path would raise on or skip as unreachable
+take the per-action path.  Chaos scenarios and errors thus remain
+exactly reproducible without a second implementation of them.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,8 +33,11 @@ import numpy as np
 from ...core.availability import availability_at_least_one
 from ...errors import SimulationError
 from ...metrics.availability_metric import AvailabilitySummary
+from ...metrics.cost import replication_cost
 from ...metrics.imbalance import server_load_imbalance
+from ..actions import Action, Replicate
 from ..engine import Simulation
+from ..reasons import SKIP_BANDWIDTH, SKIP_STORAGE_GATE
 from .kernels import SlotCSR, build_slot_csr, erlang_b_vector, serve_columnar
 from .state import SimState
 from .tables import RouterTables
@@ -35,6 +47,14 @@ if TYPE_CHECKING:
     from ...workload.query import QueryBatch
 
 __all__ = ["ColumnarSimulation"]
+
+_PARTITION = attrgetter("partition")
+_SOURCE = attrgetter("source_sid")
+_TARGET = attrgetter("target_sid")
+#: Skip codes of :meth:`ColumnarSimulation._replicate_skips` (0 = admitted).
+_SKIP_STORAGE = 1
+_SKIP_SEND = 2
+_SKIP_CAUSES = ("", SKIP_STORAGE_GATE, SKIP_BANDWIDTH)
 
 
 class ColumnarSimulation(Simulation):
@@ -87,6 +107,10 @@ class ColumnarSimulation(Simulation):
         # every use the touched cells are reset so the buffer re-enters
         # the next epoch exactly as ``np.zeros_like`` would.
         self._fills = np.zeros(0, dtype=np.float64)
+        # Eq. 1 replication cost per (source DC, target DC) pair, filled
+        # on first use (NaN = not computed yet, inf = unreachable).
+        num_dcs = self._tables.num_dcs
+        self._pair_costs = np.full((num_dcs, num_dcs), np.nan)
         # Policies that support it (RFH) get the dense mirror for their
         # vectorized decision prefilter; baselines simply lack the hook.
         attach = getattr(self.policy, "attach_columnar_state", None)
@@ -164,6 +188,164 @@ class ColumnarSimulation(Simulation):
             self.config.cluster.service_slots,
             self._alive_mask_array(),
         )
+
+    # ------------------------------------------------------------------
+    # Apply-phase override
+    # ------------------------------------------------------------------
+    def _apply_actions(self, actions: list[Action], epoch: int) -> dict[str, float]:
+        """Apply an all-``Replicate`` list in bulk, order-exact.
+
+        Every copy passes the per-action path's gates in action order:
+        reachable, then the target's Eq. 19 storage gate, then the
+        source's replication bandwidth.  With one partition size both
+        gates are per-server *counts* — a server admits copies until its
+        replayed float sequence closes the gate — so the admissions are
+        settled from those slot counts (:meth:`_replicate_skips`) and
+        applied in one :meth:`ReplicaMap.add_many`.  Mixed lists, a
+        degraded WAN and anything the per-action path would raise on or
+        skip as unreachable take the inherited path, which then raises
+        the same :class:`ActionError` at the same action.
+        """
+        if self._down_links or not actions:
+            return super()._apply_actions(actions, epoch)
+        for action in actions:
+            if not isinstance(action, Replicate):
+                return super()._apply_actions(actions, epoch)
+        count = len(actions)
+        parts = np.fromiter(map(_PARTITION, actions), dtype=np.int64, count=count)
+        srcs = np.fromiter(map(_SOURCE, actions), dtype=np.int64, count=count)
+        tgts = np.fromiter(map(_TARGET, actions), dtype=np.int64, count=count)
+        costs = self._replicate_costs(parts, srcs, tgts)
+        if costs is None:
+            return super()._apply_actions(actions, epoch)
+        skips = self._replicate_skips(srcs, tgts)
+        admitted = skips == 0
+        size = self.config.workload.partition_size_mb
+        self.replicas.add_many(parts[admitted], tgts[admitted])
+        servers = self.cluster.servers
+        sent = np.bincount(srcs[admitted], minlength=len(servers))
+        for sid in np.flatnonzero(sent).tolist():
+            if not servers[sid].consume_replication_bandwidth(size, int(sent[sid])):
+                raise SimulationError(f"replication slots of server {sid} overrun")
+        stats = self._empty_apply_stats()
+        num_admitted = int(np.count_nonzero(admitted))
+        stats["replication_count"] = float(num_admitted)
+        stats["replication_cost"] = reduce(add, costs[admitted].tolist(), 0.0)
+        if self.work is not None:
+            self.work.replicate_actions += num_admitted
+        subscribed = self._subscribers
+        if "replicate" not in subscribed and "action_skipped" not in subscribed:
+            stats["skipped_actions"] = float(count - num_admitted)
+            return stats
+        # Events in action order (``_emit`` drops a kind nobody
+        # subscribes to; ``_skip_action`` counts the skips).
+        for action, cause, cost in zip(actions, skips.tolist(), costs.tolist()):
+            if cause:
+                self._skip_action(epoch, "replicate", action, _SKIP_CAUSES[cause], stats)
+                continue
+            self._emit(
+                "replicate",
+                epoch,
+                server=action.target_sid,
+                partition=action.partition,
+                reason=action.reason,
+                cost=cost,
+                source=action.source_sid,
+                dc=servers[action.target_sid].dc,
+                source_dc=servers[action.source_sid].dc,
+            )
+        return stats
+
+    def _replicate_costs(
+        self, parts: np.ndarray, srcs: np.ndarray, tgts: np.ndarray
+    ) -> np.ndarray | None:
+        """Per-action Eq. 1 cost, or ``None`` when the per-action path
+        would raise or skip an action as unreachable.
+
+        Checked against the state before the first action: replications
+        never kill a server or remove a copy, so an action valid then is
+        valid when its turn comes (a source that only gains its copy
+        earlier in the list is sent to the per-action path).
+        """
+        self._refresh_server_arrays()
+        num_servers = self.cluster.num_servers
+        ends = np.concatenate((srcs, tgts))
+        if (
+            int(parts.min()) < 0
+            or int(parts.max()) >= self._state.num_partitions
+            or int(ends.min()) < 0
+            or int(ends.max()) >= num_servers
+        ):
+            return None
+        if not bool(self._alive_mask_array()[ends].all()):
+            return None
+        if not bool((self._state.R[parts, srcs] > 0).all()):
+            return None
+        # Eq. 1 per (source DC, target DC) pair from the scalar formula;
+        # ``inf`` marks a pair the per-action path skips as unreachable.
+        table = self._pair_costs
+        dcs = self._dc_of_array
+        src_dc = dcs[srcs]
+        dst_dc = dcs[tgts]
+        costs = table[src_dc, dst_dc]
+        missing = np.isnan(costs)
+        if bool(missing.any()):
+            pairs = set(zip(src_dc[missing].tolist(), dst_dc[missing].tolist()))
+            for s_dc, d_dc in sorted(pairs):
+                table[s_dc, d_dc] = (
+                    replication_cost(
+                        self._transfer_distance_km(s_dc, d_dc),
+                        self.config.rfh.failure_rate,
+                        self.config.workload.partition_size_mb,
+                        self.config.cluster.replication_bandwidth_mb,
+                    )
+                    if self.router.reachable(s_dc, d_dc)
+                    else np.inf
+                )
+            costs = table[src_dc, dst_dc]
+        if bool(np.isinf(costs).any()):
+            return None
+        return costs
+
+    def _replicate_skips(self, srcs: np.ndarray, tgts: np.ndarray) -> np.ndarray:
+        """Per action: 0 when admitted, else the index of its skip cause
+        in ``_SKIP_CAUSES`` (storage gate checked before bandwidth).
+
+        Each touched server's slots — copies it can store, transfers it
+        can send — are its replayed gate sequence capped at its demand.
+        When no server's demand exceeds its slots every action is
+        admitted; otherwise only the actions touching a contended server
+        are scanned, in action order, against the remaining slots (an
+        uncontended server admits whatever reaches it).
+        """
+        servers = self.cluster.servers
+        size = self.config.workload.partition_size_mb
+        phi = self.config.rfh.phi
+        want_store = np.bincount(tgts, minlength=len(servers))
+        want_send = np.bincount(srcs, minlength=len(servers))
+        store_slots = want_store.copy()
+        send_slots = want_send.copy()
+        for sid in np.flatnonzero(want_store).tolist():
+            store_slots[sid] = servers[sid].storage_slots(size, phi, int(want_store[sid]))
+        for sid in np.flatnonzero(want_send).tolist():
+            send_slots[sid] = servers[sid].replication_slots(size, int(want_send[sid]))
+        skips = np.zeros(srcs.shape[0], dtype=np.int8)
+        store_busy = want_store > store_slots
+        send_busy = want_send > send_slots
+        if not (bool(store_busy.any()) or bool(send_busy.any())):
+            return skips
+        scan = np.flatnonzero(store_busy[tgts] | send_busy[srcs])
+        store_left = store_slots.tolist()
+        send_left = send_slots.tolist()
+        for i, target, source in zip(scan.tolist(), tgts[scan].tolist(), srcs[scan].tolist()):
+            if not store_left[target]:
+                skips[i] = _SKIP_STORAGE
+            elif not send_left[source]:
+                skips[i] = _SKIP_SEND
+            else:
+                store_left[target] -= 1
+                send_left[source] -= 1
+        return skips
 
     # ------------------------------------------------------------------
     # Record-phase overrides
@@ -266,8 +448,8 @@ class ColumnarSimulation(Simulation):
         Per-count availabilities come from a lookup table whose entries
         are computed by the *scalar* :func:`availability_at_least_one`,
         and the mean uses ``np.add.accumulate`` — the same left-to-right
-        addition order as the scalar ``sum()`` (``0.0 + a0 == a0``
-        exactly, so the missing leading zero cannot change a bit).
+        addition order as the scalar fold from ``0.0`` (``0.0 + a0 ==
+        a0`` exactly, so the missing leading zero cannot change a bit).
         """
         state = self._state
         if state.version == self._avail_version and self._avail_cache is not None:

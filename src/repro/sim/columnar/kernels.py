@@ -473,11 +473,7 @@ def serve_columnar(
     # One flow per nonzero (partition, origin) cell in row-major order —
     # the same flow slots, in the same order, as the scalar walk.
     flow_p, flow_o = queries.nonzero()
-    # Rows are non-decreasing (cells come in row-major order): a row is
-    # active where it differs from the flow before it.
-    row_start = np.ones(flow_p.shape[0], dtype=bool)
-    np.not_equal(flow_p[1:], flow_p[:-1], out=row_start[1:])
-    active = flow_p[row_start]
+    active = queries.active_rows()
     if work is not None:
         work.partitions_scanned += int(active.shape[0])
     if flow_p.shape[0] == 0:

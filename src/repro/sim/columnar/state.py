@@ -150,6 +150,15 @@ class SimState:
         self._dirty.add(partition)
         self.version += 1
 
+    def on_add_many(self, partitions: np.ndarray, sids: np.ndarray) -> None:
+        """One copy was added per ``(partitions[k], sids[k])`` pair."""
+        if int(sids.max()) >= self.R.shape[1]:
+            self.ensure_servers(int(sids.max()) + 1)
+        np.add.at(self.R, (partitions, sids), 1)
+        np.add.at(self._counts, partitions, 1)
+        self._dirty.update(partitions.tolist())
+        self.version += 1
+
     def on_holder(self, partition: int, sid: int | None) -> None:
         """The primary-holder pointer moved (``None`` = all copies lost)."""
         self.holder[partition] = -1 if sid is None else sid

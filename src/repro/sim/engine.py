@@ -790,8 +790,10 @@ class Simulation:
     # ------------------------------------------------------------------
     # Action application
     # ------------------------------------------------------------------
-    def _apply_actions(self, actions: list[Action], epoch: int) -> dict[str, float]:
-        stats = {
+    @staticmethod
+    def _empty_apply_stats() -> dict[str, float]:
+        """The apply phase's counters and Eq. 1 cost totals, all zero."""
+        return {
             "replication_count": 0.0,
             "replication_cost": 0.0,
             "migration_count": 0.0,
@@ -799,6 +801,9 @@ class Simulation:
             "suicide_count": 0.0,
             "skipped_actions": 0.0,
         }
+
+    def _apply_actions(self, actions: list[Action], epoch: int) -> dict[str, float]:
+        stats = self._empty_apply_stats()
         for action in actions:
             if isinstance(action, Replicate):
                 self._apply_replicate(action, stats, epoch)

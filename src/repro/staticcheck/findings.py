@@ -143,7 +143,8 @@ RULES: dict[str, Rule] = {
             "deterministically ordered sequence.",
             scope_paths=_KERNEL_SCOPE,
             hint="sort first — np.add.reduce(np.sort(...)) or "
-            "sum(sorted(...))",
+            "functools.reduce(operator.add, sorted(...), 0.0) (builtin "
+            "sum() of floats is compensated since Python 3.12)",
         ),
         Rule(
             "REP103",

@@ -26,8 +26,8 @@ artifact; the sweep itself always completes.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import pathlib
-import queue
 import traceback
 
 from ..obs.fleet.events import (
@@ -116,9 +116,13 @@ def _run_parallel(
     """Fan pending cells across worker processes with a crash watchdog."""
     ctx = _mp_context()
     task_q = ctx.Queue()
-    event_q = ctx.Queue()
     lanes = min(max_workers, len(pending))
     procs: dict[int, object] = {}
+    # One event pipe per worker, read here only.  A shared queue would
+    # share one cross-process write lock: a worker dying while its
+    # feeder thread held it would silence every sibling for good.  A
+    # worker dying mid-send only cuts its own pipe short (EOF here).
+    pipes: dict[int, multiprocessing.connection.Connection] = {}
     clean_exit: set[int] = set()
     in_flight: dict[int, int] = {}  # worker id -> cell index
     next_worker = 0
@@ -128,17 +132,34 @@ def _run_parallel(
         nonlocal next_worker
         worker_id = next_worker
         next_worker += 1
+        reader, writer = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=worker_main,
-            args=(worker_id, task_q, event_q, str(sweep_dir), cells, options),
+            args=(worker_id, task_q, writer, str(sweep_dir), cells, options),
             daemon=True,
         )
         proc.start()
+        writer.close()  # the worker's copy is the only writer: EOF on death
         procs[worker_id] = proc
+        pipes[worker_id] = reader
+
+    def _receive(timeout: float) -> list[dict]:
+        """The next event from every worker that has one, waiting up to
+        ``timeout`` for the first; a pipe at EOF is closed and dropped."""
+        events = []
+        for reader in multiprocessing.connection.wait(list(pipes.values()), timeout):
+            try:
+                events.append(reader.recv())
+            except EOFError:
+                worker_id = next(w for w, r in pipes.items() if r is reader)
+                del pipes[worker_id]
+                reader.close()
+        return events
 
     # Teardown lives in the finally so an exception mid-orchestration
-    # (progress callback, corrupt event) still reaps every worker and
-    # both queue feeder threads instead of hanging interpreter exit.
+    # (progress callback, corrupt event) still reaps every worker, its
+    # pipe and the task queue's feeder thread instead of hanging
+    # interpreter exit.
     try:
         for index in pending:
             task_q.put(index)
@@ -148,11 +169,8 @@ def _run_parallel(
         done = 0
         target = len(pending)
         while done < target:
-            try:
-                event = event_q.get(timeout=0.5)
-            except queue.Empty:
-                event = None
-            if event is not None:
+            events = _receive(0.5)
+            for event in events:
                 kind = event.get("kind")
                 worker = int(event.get("worker", -1))
                 if kind == CELL_STARTED:
@@ -168,9 +186,10 @@ def _run_parallel(
                 elif kind == WORKER_EXITED:
                     clean_exit.add(worker)
                 progress.handle(event)
+            if events:
                 continue
 
-            # Queue idle: watchdog pass over the pool.
+            # No events: watchdog pass over the pool.
             crashed = [
                 worker_id
                 for worker_id, proc in procs.items()
@@ -205,7 +224,7 @@ def _run_parallel(
             if all(
                 worker_id in clean_exit or not proc.is_alive()  # type: ignore[attr-defined]
                 for worker_id, proc in procs.items()
-            ) and event_q.empty():
+            ) and not any(reader.poll() for reader in pipes.values()):
                 failed_ids = {f.get("cell_id") for f in failures}
                 for index in pending:
                     if index in records:
@@ -228,14 +247,9 @@ def _run_parallel(
             if proc.is_alive():  # type: ignore[attr-defined]
                 proc.terminate()  # type: ignore[attr-defined]
                 proc.join(timeout=1.0)  # type: ignore[attr-defined]
-        # Drain so queue feeder threads never block interpreter exit.
-        while True:
-            try:
-                event_q.get_nowait()
-            except queue.Empty:
-                break
+        for reader in pipes.values():
+            reader.close()
         task_q.close()
-        event_q.close()
 
 
 def run_sweep(

@@ -13,8 +13,8 @@ single-run invocation of the same knobs are bit-identical.
 :func:`worker_main` is the :mod:`multiprocessing` entry point: it
 drains cell indices from a task queue (pre-filled before workers start,
 so ``Empty`` means done — no sentinels that a crashed sibling could
-strand), posts the :mod:`repro.obs.fleet.events` vocabulary to the
-event queue, runs a heartbeat daemon thread, and converts per-cell
+strand), sends the :mod:`repro.obs.fleet.events` vocabulary down its
+own event pipe, runs a heartbeat daemon thread, and converts per-cell
 exceptions into structured failure records instead of dying.
 """
 
@@ -259,7 +259,7 @@ def classify_failure(exc: Exception) -> str:
 def worker_main(
     worker_id: int,
     task_q,
-    event_q,
+    events,
     sweep_dir: str,
     cells: tuple[SweepCell, ...],
     options: dict,
@@ -270,15 +270,23 @@ def worker_main(
     worker starts, so an ``Empty`` timeout is an unambiguous "no work
     left" signal — robust even when sibling workers crash, unlike
     sentinel schemes where a dead worker's sentinel can strand cells.
+    ``events`` is this worker's own pipe to the orchestrator; sends are
+    synchronous (no feeder thread), serialized between this thread and
+    the heartbeat by a lock private to the process.
     """
     state = {"cell_id": None, "started": wall_clock_now(), "cells_run": 0}
     stop = threading.Event()
+    send_lock = threading.Lock()
+
+    def _send(event: dict) -> None:
+        with send_lock:
+            events.send(event)
 
     def _beat() -> None:
         interval = float(options.get("heartbeat_s", HEARTBEAT_INTERVAL_S))
         while not stop.wait(interval):
             try:
-                event_q.put(
+                _send(
                     heartbeat(
                         worker_id,
                         state["cell_id"],
@@ -286,10 +294,10 @@ def worker_main(
                         state["cells_run"],
                     )
                 )
-            except (OSError, ValueError):  # queue torn down mid-beat
+            except (OSError, ValueError):  # pipe torn down mid-beat
                 return
 
-    event_q.put(worker_started(worker_id))
+    _send(worker_started(worker_id))
     beat = threading.Thread(target=_beat, daemon=True)
     beat.start()
     try:
@@ -301,11 +309,11 @@ def worker_main(
             cell = cells[index]
             state["cell_id"] = cell.cell_id
             state["started"] = wall_clock_now()
-            event_q.put(cell_started(worker_id, index, cell.cell_id))
+            _send(cell_started(worker_id, index, cell.cell_id))
             try:
                 record = execute_cell(cell, sweep_dir, options, worker_id)
             except Exception as exc:
-                event_q.put(
+                _send(
                     cell_failed(
                         worker_id,
                         index,
@@ -320,13 +328,14 @@ def worker_main(
                     )
                 )
             else:
-                event_q.put(cell_finished(worker_id, index, cell.cell_id, record))
+                _send(cell_finished(worker_id, index, cell.cell_id, record))
             state["cell_id"] = None
             state["cells_run"] += 1
     finally:
         stop.set()
         # Bounded join: the beat loop wakes from stop.wait() within one
         # interval; the timeout guards against a beat blocked on a full
-        # event queue so worker exit can never hang on its own heartbeat.
+        # pipe so worker exit can never hang on its own heartbeat.
         beat.join(timeout=2.0)
-        event_q.put(worker_exited(worker_id, state["cells_run"]))
+        _send(worker_exited(worker_id, state["cells_run"]))
+        events.close()

@@ -34,7 +34,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class QueryBatch:
     """Immutable (partitions x datacenters) query counts for one epoch."""
 
-    __slots__ = ("_epoch", "_shape", "_flat", "_values", "_total")
+    __slots__ = ("_epoch", "_shape", "_flat", "_values", "_total", "_active")
 
     def __init__(self, epoch: int, counts: np.ndarray) -> None:
         counts = np.asarray(counts)
@@ -87,6 +87,7 @@ class QueryBatch:
         self._flat = _frozen(flat)
         self._values = _frozen(values)
         self._total = int(values.sum())
+        self._active: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -116,6 +117,22 @@ class QueryBatch:
         """``(rows, cols)`` of the nonzero cells — ``np.nonzero(counts)``."""
         rows, cols = np.divmod(self._flat, self._shape[1])
         return rows, cols
+
+    def active_rows(self) -> np.ndarray:
+        """Ascending partitions with at least one query this epoch
+        (read-only, computed once).
+
+        Serving touches no other row: every row outside this set is
+        exactly zero in the epoch's traffic and served matrices.
+        """
+        if self._active is None:
+            rows = self._flat // self._shape[1]
+            # Cells are row-major, so rows are non-decreasing: a row
+            # starts where it differs from the cell before it.
+            start = np.ones(rows.shape[0], dtype=bool)
+            np.not_equal(rows[1:], rows[:-1], out=start[1:])
+            self._active = _frozen(rows[start])
+        return self._active
 
     @property
     def num_partitions(self) -> int:

@@ -32,9 +32,11 @@ from repro.net import build_ring_wan
 from repro.net.builder import build_wan
 from repro.obs.perf.counters import WorkCounters
 from repro.obs.provenance import ProvenanceRecorder, diff_provenance
+from repro.obs.trace import RingBufferTracer
 from repro.sim.columnar import ColumnarSimulation
 from repro.sim.columnar import kernels as columnar_kernels
 from repro.sim.engine import Simulation
+from repro.sim.reasons import SKIP_BANDWIDTH, SKIP_STORAGE_GATE
 from repro.staticcheck.sanitizer import DeterminismSanitizer
 
 try:
@@ -60,6 +62,7 @@ ENGINES = ("scalar", "columnar")
 DIFFERENTIAL_HOOKS = (
     "_alive_mask_array",
     "_alive_server_count",
+    "_apply_actions",
     "_availability_summary",
     "_blocking_probabilities",
     "_load_cv_value",
@@ -201,38 +204,36 @@ def test_wan_partition_fallback_is_equivalent() -> None:
         ), f"policy={policy}"
 
 
-def test_hundred_datacenter_bootstrap_is_equivalent(tmp_path) -> None:
-    """The large-system regime the columnar fast paths are built for:
-    100 datacenters on a ring, one server each, heavy skew, starting
-    from one copy per partition.  Bootstrap (the bulk availability
-    placement) and the steady epochs after it must chain identically,
-    export identical metric CSVs and do identical counted work.  A
-    tight replication bandwidth makes bootstrap spill into a second
-    epoch, as it does at 2x10^4 partitions."""
+def _hundred_datacenter_runs(
+    tmp_path, *, epochs: int, **cluster: float
+) -> tuple[dict[str, object], Simulation]:
+    """Run the 100-DC ring world on both engines.
+
+    Returns per engine the fingerprint chain, metric CSV bytes, work
+    totals and full event sequence (every field but the wall-clock
+    ``ts``), plus the columnar simulation.
+    """
     num_dcs = 100
     config = SimulationConfig(
         seed=7,
         cluster=ClusterParameters(
-            rooms_per_datacenter=1,
-            racks_per_room=1,
-            servers_per_rack=1,
-            replication_bandwidth_mb=15.0,
+            rooms_per_datacenter=1, racks_per_room=1, servers_per_rack=1, **cluster
         ),
         workload=WorkloadParameters(
             queries_per_epoch_mean=1_000.0, num_partitions=2_000, zipf_exponent=2.0
         ),
     )
-    epochs = 6
     trace = random_query_scenario(
         config, epochs=epochs, num_datacenters=num_dcs
     ).trace
     hierarchy = build_synthetic_hierarchy(num_dcs)
     wan = build_ring_wan(hierarchy)
-    chains, csv_bytes, work = {}, {}, {}
+    runs: dict[str, object] = {}
     for engine_cls in (Simulation, ColumnarSimulation):
         name = engine_cls.engine_name
         sanitizer = DeterminismSanitizer()
         counters = WorkCounters()
+        tracer = RingBufferTracer(capacity=1_000_000)
         sim = engine_cls(
             config,
             policy="rfh",
@@ -241,18 +242,57 @@ def test_hundred_datacenter_bootstrap_is_equivalent(tmp_path) -> None:
             workload=trace,
             sanitizer=sanitizer,
             work=counters,
+            tracer=tracer,
         )
         metrics = sim.run(epochs)
-        chains[name] = [r.chain for r in sanitizer.trail().records]
         to_csv(metrics, tmp_path / f"{name}.csv")
-        csv_bytes[name] = (tmp_path / f"{name}.csv").read_bytes()
-        work[name] = counters.totals()
+        assert tracer.dropped == 0
+        runs[name] = (
+            [r.chain for r in sanitizer.trail().records],
+            (tmp_path / f"{name}.csv").read_bytes(),
+            counters.totals(),
+            [
+                (e.epoch, e.kind, e.server, e.partition, e.reason, e.cost, e.policy, e.extra)
+                for e in tracer.events()
+            ],
+        )
+    return runs, sim
+
+
+def _skip_causes(sim: Simulation) -> list[str]:
+    return [e.extra["cause"] for e in sim.tracer.events("action_skipped")]
+
+
+def test_hundred_datacenter_bootstrap_is_equivalent(tmp_path) -> None:
+    """The large-system regime the columnar fast paths are built for:
+    100 datacenters on a ring, one server each, heavy skew, starting
+    from one copy per partition.  Bootstrap (the bulk availability
+    placement and the batched apply) and the steady epochs after it
+    must chain identically, export identical metric CSVs, do identical
+    counted work and emit identical events, in the same order.  A tight
+    replication bandwidth makes bootstrap spill into a second epoch, as
+    it does at 2x10^4 partitions."""
+    runs, sim = _hundred_datacenter_runs(
+        tmp_path, epochs=6, replication_bandwidth_mb=15.0
+    )
     # Bootstrap: epoch 0 hits the bandwidth gate, epoch 1 finishes it.
-    assert metrics.array("skipped_actions")[0] > 0
-    assert metrics.array("replication_count")[1] > 0
-    assert chains["scalar"] == chains["columnar"]
-    assert csv_bytes["scalar"] == csv_bytes["columnar"]
-    assert work["scalar"] == work["columnar"]
+    assert sim.metrics.array("skipped_actions")[0] > 0
+    assert sim.metrics.array("replication_count")[1] > 0
+    assert SKIP_BANDWIDTH in _skip_causes(sim)
+    assert runs["scalar"] == runs["columnar"]
+
+
+def test_hundred_datacenter_storage_gate_is_equivalent(tmp_path) -> None:
+    """As above with 1 GB disks and 10 MB/epoch of replication
+    bandwidth, so the Eq. 19 storage gate refuses copies alongside the
+    bandwidth gate within one bootstrap epoch."""
+    runs, sim = _hundred_datacenter_runs(
+        tmp_path, epochs=4, replication_bandwidth_mb=10.0, storage_capacity_mb=1_000.0
+    )
+    causes = _skip_causes(sim)
+    assert causes.count(SKIP_STORAGE_GATE) > 0
+    assert causes.count(SKIP_BANDWIDTH) > 0
+    assert runs["scalar"] == runs["columnar"]
 
 
 def test_engine_metadata_is_stamped() -> None:

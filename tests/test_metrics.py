@@ -147,6 +147,31 @@ class TestAvailabilitySummary:
         assert 0.9 <= summary.mean_availability <= 1.0
         assert summary.min_availability == pytest.approx(0.9)
 
+    def test_mean_is_a_left_to_right_fold(self, cluster, mapper):
+        """Copy counts (2, 3, 1) give 0.99 + 0.999 + 0.9, which a plain
+        left-to-right fold sums to 2.889 but an exactly rounded (or, on
+        Python >= 3.12, compensated builtin) sum to 2.8890000000000002.
+        The mean must be the fold the columnar engine reproduces with
+        ``np.add.accumulate``, on every Python version."""
+        import math
+        from functools import reduce
+        from operator import add
+
+        from repro.cluster import ReplicaMap
+
+        rm = ReplicaMap(cluster, 3, 0.5)
+        rm.bootstrap([0, 1, 2])
+        rm.add(0, 10)
+        rm.add(1, 10)
+        rm.add(1, 20)
+        assert rm.per_partition_counts() == [2, 3, 1]
+        values = [0.99, 0.999, 0.9]
+        fold = reduce(add, values, 0.0)
+        assert fold != math.fsum(values)
+        assert fold == float(np.add.accumulate(np.array(values))[-1])
+        summary = availability_summary(rm, failure_rate=0.1, rmin=2)
+        assert summary.mean_availability == fold / 3
+
 
 class TestSeries:
     def test_append_and_read(self):
